@@ -2,9 +2,8 @@
 
 All file outputs are byte-deterministic: floats are rendered with 17
 significant digits in JSON and 9 in CSV, rows are written in a fixed order,
-and line endings are LF.  The scan subcommand parallelizes over grid cells
-(capped by the KWL_THREADS environment variable) but assembles results in
-grid order, so the thread count never changes the output bytes.
+and line endings are LF.  The scan subcommand evaluates its grid cells one
+after another in grid order.
 
 Exit codes: 0 = completed (a *detected* blow-up is a successful outcome),
 2 = invalid configuration or parameters, 3 = numerical failure.
@@ -15,9 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -203,16 +200,7 @@ def run_scan(spec: ScanSpec, out_path: str | Path) -> Path:
     vals1 = _axis_values(spec.axis1)
     vals2 = _axis_values(spec.axis2)
     cells = [(v1, v2) for v1 in vals1 for v2 in vals2]
-
-    default_threads = os.cpu_count() or 1
-    threads = int(os.environ.get("KWL_THREADS", default_threads))
-    if threads < 1:
-        raise ValueError(f"KWL_THREADS must be >= 1, got {threads}")
-    if threads == 1:
-        results = [_scan_cell(spec, v1, v2) for v1, v2 in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: _scan_cell(spec, *c), cells))
+    results = [_scan_cell(spec, v1, v2) for v1, v2 in cells]
 
     header = [spec.axis1[0], spec.axis2[0], "verdict", "fired"]
     simulating = spec.mode == "ClassifyAndSimulate"

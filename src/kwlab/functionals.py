@@ -56,14 +56,6 @@ class State:
     v: np.ndarray
     t: float = 0.0
 
-    @property
-    def v_interior(self) -> np.ndarray:
-        return self.v
-
-    @property
-    def v_boundary(self) -> np.ndarray:
-        return self.v[-1]
-
     def copy(self) -> "State":
         return State(self.u.copy(), self.v.copy(), self.t)
 
@@ -85,10 +77,6 @@ class EnergyReport:
     Z: float | None
     dissipation_rate: float
     identity_residual: float
-
-    @property
-    def h1_seminorms(self) -> tuple[float, float]:
-        return (self.grad_omega, self.grad_gamma)
 
 
 REPORT_COLUMNS = (
@@ -124,63 +112,61 @@ class LyapunovConfig:
             raise ValueError(f"omega must be positive, got {self.omega}")
 
 
-def h0_inner(mesh: AnnulusMesh, a: State | tuple, b: State | tuple) -> float:
-    """Phase-space pairing: ∫ a*b over the annulus + ∫ a*b over the circle."""
-    a_int, a_bnd = (a.v, a.v[-1]) if isinstance(a, State) else a
-    b_int, b_bnd = (b.v, b.v[-1]) if isinstance(b, State) else b
-    return integrate_interior(mesh, a_int * b_int) + integrate_boundary(
-        mesh, a_bnd * b_bnd
+def _phase_parts(mesh: AnnulusMesh, state: State) -> tuple[float, float, float, float]:
+    """(kinetic, grad_omega, grad_gamma, phase_norm_sq) of a snapshot.
+
+    The squared phase norm adds the free-circle trace ∫_circle u^2 to the
+    kinetic and gradient parts; it is what the PhaseNorm monitor watches.
+    """
+    u, v = state.u, state.v
+    grad_omega, grad_gamma = geometry.gradient_energy(mesh, u)
+    kin = integrate_interior(mesh, v**2) + integrate_boundary(mesh, v[-1] ** 2)
+    trace_sq = integrate_boundary(mesh, u[-1] ** 2)
+    return kin, grad_omega, grad_gamma, kin + grad_omega + grad_gamma + trace_sq
+
+
+def _source_norms(mesh: AnnulusMesh, u: np.ndarray, params: ModelParams) -> tuple[float, float]:
+    """(∫|u|^p, ∫_circle |u|^q): the source norms read by J and by the
+    LpNorm monitor."""
+    return (
+        integrate_interior(mesh, np.abs(u) ** params.p),
+        integrate_boundary(mesh, np.abs(u[-1]) ** params.q),
+    )
+
+
+def _source_terms(params: ModelParams, lp: float, lq: float) -> tuple[float, float]:
+    """The two summands (gamma/p) lp and (delta/q) lq of J.  A source whose
+    weight is zero contributes exactly 0.0, whatever its norm."""
+    return (
+        (params.gamma / params.p) * lp if params.gamma != 0.0 else 0.0,
+        (params.delta / params.q) * lq if params.delta != 0.0 else 0.0,
     )
 
 
 def potential_J(mesh: AnnulusMesh, state: State, params: ModelParams) -> float:
     """(gamma/p)*∫|u|^p + (delta/q)*∫_circle |u|^q; nonnegative."""
-    total = 0.0
-    if params.gamma != 0.0:
-        total += (params.gamma / params.p) * integrate_interior(
-            mesh, np.abs(state.u) ** params.p
-        )
-    if params.delta != 0.0:
-        total += (params.delta / params.q) * integrate_boundary(
-            mesh, np.abs(state.u[-1]) ** params.q
-        )
-    return total
-
-
-def _kinetic(mesh: AnnulusMesh, state: State) -> float:
-    return integrate_interior(mesh, state.v**2) + integrate_boundary(
-        mesh, state.v[-1] ** 2
-    )
+    return make_report(mesh, state, params).J
 
 
 def energy_E(mesh: AnnulusMesh, state: State, params: ModelParams) -> float:
     """Total energy; exactly conserved by the semi-discrete flow when damping
     and sources are off."""
-    grad_omega, grad_gamma = geometry.gradient_energy(mesh, state.u)
-    return (
-        0.5 * _kinetic(mesh, state)
-        + 0.5 * grad_omega
-        + 0.5 * grad_gamma
-        - potential_J(mesh, state, params)
-    )
+    return make_report(mesh, state, params).E
 
 
 def K(mesh: AnnulusMesh, state: State, params: ModelParams) -> float:
-    """-E, computed by negating the same value energy_E returns."""
-    return -energy_E(mesh, state, params)
+    """-E, the same value make_report stores."""
+    return make_report(mesh, state, params).K
 
 
 def lyapunov_Z(
     mesh: AnnulusMesh, state: State, params: ModelParams, cfg: LyapunovConfig
 ) -> float:
     """K^(1-k) + omega*(u', u)_{H0}; defined only while K > 0."""
-    k_val = K(mesh, state, params)
-    if not k_val > 0.0:
+    z_val = make_report(mesh, state, params, cfg).Z
+    if z_val is None:
         raise ValueError("Z undefined: energy not negative")
-    pairing = integrate_interior(mesh, state.v * state.u) + integrate_boundary(
-        mesh, state.v[-1] * state.u[-1]
-    )
-    return k_val ** (1.0 - cfg.k) + cfg.omega * pairing
+    return z_val
 
 
 def default_k(params: ModelParams) -> LyapunovConfig:
@@ -250,21 +236,16 @@ def make_report(
 ) -> EnergyReport:
     """Evaluate every monitored functional at one snapshot.
 
-    Z is filled only when a Lyapunov config is supplied and K > 0; the
-    identity residual is measured against `prev` (0 for the first report).
+    This is the one place J, E, K and Z are computed; potential_J, energy_E,
+    K and lyapunov_Z read the fields of this report.  Z is filled only when a
+    Lyapunov config is supplied and K > 0; the identity residual is measured
+    against `prev` (0 for the first report).
     """
     u, v = state.u, state.v
-    lp = integrate_interior(mesh, np.abs(u) ** params.p)
-    lq = integrate_boundary(mesh, np.abs(u[-1]) ** params.q)
-    grad_omega, grad_gamma = geometry.gradient_energy(mesh, u)
-    kin = _kinetic(mesh, state)
-    trace_sq = integrate_boundary(mesh, u[-1] ** 2)
-    # same arithmetic as potential_J, reusing the norms computed above
-    j_val = 0.0
-    if params.gamma != 0.0:
-        j_val += (params.gamma / params.p) * lp
-    if params.delta != 0.0:
-        j_val += (params.delta / params.q) * lq
+    lp, lq = _source_norms(mesh, u, params)
+    kin, grad_omega, grad_gamma, phase_sq = _phase_parts(mesh, state)
+    j_interior, j_boundary = _source_terms(params, lp, lq)
+    j_val = j_interior + j_boundary
     e_val = 0.5 * kin + 0.5 * grad_omega + 0.5 * grad_gamma - j_val
     k_val = -e_val
     z_val = None
@@ -281,7 +262,7 @@ def make_report(
         grad_omega=grad_omega,
         grad_gamma=grad_gamma,
         kinetic=kin,
-        phase_norm_sq=kin + grad_omega + grad_gamma + trace_sq,
+        phase_norm_sq=phase_sq,
         J=j_val,
         E=e_val,
         K=k_val,

@@ -23,8 +23,7 @@ Green identity
 
 holds to rounding, with B the symmetric bilinear form returned (in quadratic
 form) by gradient_energy.  boundary_flux is the one-sided *staggered* flux
-that the telescoping produces; normal_derivative is the usual second-order
-nodal stencil and is kept as a diagnostic.  Energies built from
+that the telescoping produces.  Energies built from
 gradient_energy are exactly the quadratic forms whose gradients are the
 discrete operators, which is what makes the semi-discrete wave flow conserve
 the reported energy to machine precision.
@@ -40,10 +39,7 @@ __all__ = [
     "integrate_boundary",
     "laplacian",
     "laplace_beltrami",
-    "normal_derivative",
     "boundary_flux",
-    "gradient_sq",
-    "tangential_gradient_sq",
     "gradient_energy",
 ]
 
@@ -70,8 +66,10 @@ class AnnulusMesh:
     def __init__(self, r_inner: float, r_outer: float, n_r: int, n_theta: int):
         if not r_inner > 0:
             raise ValueError(f"r_inner must be positive, got {r_inner}")
-        if not r_outer > r_inner:
-            raise ValueError(f"r_inner >= r_outer ({r_inner} >= {r_outer})")
+        if not r_inner < r_outer < np.inf:
+            raise ValueError(
+                f"radii must satisfy r_inner < r_outer < inf ({r_inner}, {r_outer})"
+            )
         if n_r < 3:
             raise ValueError(f"n_r must be at least 3, got {n_r}")
         if n_theta < 8:
@@ -111,12 +109,6 @@ class AnnulusMesh:
     def boundary_length(self) -> float:
         """Quadrature measure of the free circle (equals 2*pi*r_outer)."""
         return float(self.boundary_weights.sum())
-
-    def zeros_interior(self) -> np.ndarray:
-        return np.zeros((self.n_r, self.n_theta))
-
-    def zeros_boundary(self) -> np.ndarray:
-        return np.zeros(self.n_theta)
 
     def __repr__(self):  # pragma: no cover
         return (
@@ -191,16 +183,6 @@ def laplace_beltrami(mesh: AnnulusMesh, v: np.ndarray) -> np.ndarray:
     return (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (mesh.r_outer * mesh.dtheta) ** 2
 
 
-def normal_derivative(mesh: AnnulusMesh, u: np.ndarray) -> np.ndarray:
-    """Outward normal derivative on the free circle, one-sided second order.
-
-    (3u_{n-1} - 4u_{n-2} + u_{n-3}) / (2 dr); exact on radial quadratics.
-    Diagnostic companion of boundary_flux (which is what the dynamics use).
-    """
-    u = _check_interior(mesh, u)
-    return (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * mesh.dr)
-
-
 def boundary_flux(mesh: AnnulusMesh, u: np.ndarray) -> np.ndarray:
     """Variational outward flux at the free circle.
 
@@ -213,29 +195,6 @@ def boundary_flux(mesh: AnnulusMesh, u: np.ndarray) -> np.ndarray:
     return mesh.r_half[-1] * (u[-1] - u[-2]) / (mesh.r_outer * mesh.dr)
 
 
-def gradient_sq(mesh: AnnulusMesh, u: np.ndarray) -> np.ndarray:
-    """Nodal |grad u|^2 = u_r^2 + u_th^2/r^2 (diagnostic).
-
-    Centered differences inside, one-sided second-order at both radial
-    extremes; exact on fields linear in r.
-    """
-    u = _check_interior(mesh, u)
-    dr = mesh.dr
-    u_r = np.empty_like(u)
-    u_r[1:-1] = (u[2:] - u[:-2]) / (2.0 * dr)
-    u_r[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dr)
-    u_r[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dr)
-    u_th = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * mesh.dtheta)
-    return u_r**2 + (u_th / mesh.r[:, None]) ** 2
-
-
-def tangential_gradient_sq(mesh: AnnulusMesh, v: np.ndarray) -> np.ndarray:
-    """Nodal squared tangential derivative v_th^2 / r_outer^2 on the free circle."""
-    v = _check_boundary(mesh, v)
-    v_th = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * mesh.dtheta)
-    return (v_th / mesh.r_outer) ** 2
-
-
 def gradient_energy(mesh: AnnulusMesh, u: np.ndarray) -> tuple[float, float]:
     """Staggered Dirichlet forms (∫_annulus |grad u|^2, ∫_circle |grad_tang u|^2).
 
@@ -244,8 +203,7 @@ def gradient_energy(mesh: AnnulusMesh, u: np.ndarray) -> tuple[float, float]:
     free-circle form is sum_j ((u_{j+1}-u_j)/(r_outer dtheta))^2 r_outer dtheta.
     These are the quadratic forms differentiated by the discrete operators,
     so 0.5*(their sum) is the exactly-conserved stiffness energy of the
-    semi-discrete flow.  The nodal gradient_sq under integrate_interior is a
-    consistent but non-variational alternative kept for diagnostics.
+    semi-discrete flow.
     """
     u = _check_interior(mesh, u)
     dr, dth = mesh.dr, mesh.dtheta

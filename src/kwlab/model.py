@@ -12,6 +12,7 @@ parameter record and scalar/array inputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -25,8 +26,6 @@ __all__ = [
     "damping_Q",
     "source_f",
     "source_g",
-    "primitive_F",
-    "primitive_G",
     "check_assumptions",
 ]
 
@@ -57,14 +56,12 @@ class ModelParams:
     q: float = 2.0
 
     def __post_init__(self):
-        if self.N != int(self.N):
+        if not (2 <= self.N < math.inf and self.N == int(self.N)):
             raise ValueError(f"N must be an integer >= 2, got {self.N}")
         object.__setattr__(self, "N", int(self.N))
-        if self.N < 2:
-            raise ValueError(f"N must be an integer >= 2, got {self.N}")
         for name in ("a", "b", "alpha", "beta", "gamma", "delta"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"constraint violated: {name} >= 0 "
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"constraint violated: 0 <= {name} < inf "
                                  f"(got {getattr(self, name)})")
         if self.m_tilde is None:
             object.__setattr__(self, "m_tilde", min(2.0, float(self.m)))
@@ -72,18 +69,18 @@ class ModelParams:
             object.__setattr__(self, "mu_tilde", min(2.0, float(self.mu)))
         for name in ("m", "mu", "m_tilde", "mu_tilde", "p", "q"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not 1.0 < self.m_tilde <= self.m:
+        if not 1.0 < self.m_tilde <= self.m < math.inf:
             raise ValueError(
-                f"constraint violated: 1 < m_tilde <= m "
+                f"constraint violated: 1 < m_tilde <= m < inf "
                 f"(m_tilde={self.m_tilde}, m={self.m})")
-        if not 1.0 < self.mu_tilde <= self.mu:
+        if not 1.0 < self.mu_tilde <= self.mu < math.inf:
             raise ValueError(
-                f"constraint violated: 1 < mu_tilde <= mu "
+                f"constraint violated: 1 < mu_tilde <= mu < inf "
                 f"(mu_tilde={self.mu_tilde}, mu={self.mu})")
-        if not self.p >= 2:
-            raise ValueError(f"constraint violated: p >= 2 (got {self.p})")
-        if not self.q >= 2:
-            raise ValueError(f"constraint violated: q >= 2 (got {self.q})")
+        if not 2 <= self.p < math.inf:
+            raise ValueError(f"constraint violated: 2 <= p < inf (got {self.p})")
+        if not 2 <= self.q < math.inf:
+            raise ValueError(f"constraint violated: 2 <= q < inf (got {self.q})")
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
@@ -133,27 +130,12 @@ def source_g(params: ModelParams, u):
     return params.delta * _odd_power(u, params.q)
 
 
-def primitive_F(params: ModelParams, u):
-    """Primitive of the interior source: (gamma/p) |u|^p, so u*f = p*F."""
-    if params.gamma == 0.0:
-        return np.zeros_like(np.asarray(u, dtype=float)) if np.ndim(u) else 0.0
-    out = (params.gamma / params.p) * np.abs(np.asarray(u, dtype=float)) ** params.p
-    return float(out) if out.ndim == 0 else out
-
-
-def primitive_G(params: ModelParams, u):
-    """Primitive of the boundary source: (delta/q) |u|^q."""
-    if params.delta == 0.0:
-        return np.zeros_like(np.asarray(u, dtype=float)) if np.ndim(u) else 0.0
-    out = (params.delta / params.q) * np.abs(np.asarray(u, dtype=float)) ** params.q
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class AssumptionReport:
     """Which structural hypotheses the parameter record realizes.
 
-    a1..a5: the local-theory package (parameter constraints + growth bounds).
+    local_theory: the local-theory package (parameter constraints + growth
+    bounds), i.e. regimes.wellposed_ok.
     a6: the extra subcriticality giving uniqueness in high dimension.
     f1/g1: superlinear source lower bounds f(u)u - 2F(u) >= gamma0|u|^p - gamma1
     (resp. delta0, delta1, exponent q); for pure powers the sharp constants
@@ -161,11 +143,7 @@ class AssumptionReport:
     g2: boundary-source homogeneity g(u)u >= q_bar G(u) >= 0 with q_bar = q.
     """
 
-    a1: bool
-    a2: bool
-    a3: bool
-    a4: bool
-    a5: bool
+    local_theory: bool
     a6: bool
     f1: bool
     g1: bool
@@ -179,9 +157,8 @@ class AssumptionReport:
 
 def check_assumptions(params: ModelParams) -> AssumptionReport:
     """Evaluate the structural hypotheses for the pure-power model family."""
-    local = regimes.wellposed_ok(params)  # parameter record is valid by construction
     return AssumptionReport(
-        a1=local, a2=local, a3=local, a4=local, a5=local,
+        local_theory=regimes.wellposed_ok(params),
         a6=regimes.uniqueness_extra_ok(params),
         f1=params.gamma > 0 and params.p > 2,
         g1=params.delta > 0 and params.q > 2,

@@ -102,17 +102,8 @@ def negative_energy_data(
     phi = radial_profile(mesh, profile)
     grad_omega, grad_gamma = geometry.gradient_energy(mesh, phi)
     a_quad = 0.5 * (grad_omega + grad_gamma)
-    b_src = (
-        (params.gamma / params.p)
-        * geometry.integrate_interior(mesh, np.abs(phi) ** params.p)
-        if params.gamma > 0
-        else 0.0
-    )
-    c_src = (
-        (params.delta / params.q)
-        * geometry.integrate_boundary(mesh, np.abs(phi[-1]) ** params.q)
-        if params.delta > 0
-        else 0.0
+    b_src, c_src = functionals._source_terms(
+        params, *functionals._source_norms(mesh, phi, params)
     )
     if b_src == 0.0 and c_src == 0.0:
         raise ValueError(
@@ -335,6 +326,9 @@ class SimConfig:
     def __post_init__(self):
         if self.params.N != 2:
             raise ValueError(f"the simulator is two-dimensional; N=2 required, got N={self.params.N}")
+        for name in ("n_r", "n_theta"):
+            if not float(getattr(self, name)).is_integer():
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
         dr = (self.r_outer - self.r_inner) / (self.n_r - 1)
         dtheta = 2.0 * math.pi / self.n_theta
         wave_limit = min(dr, self.r_inner * dtheta)
@@ -347,14 +341,16 @@ class SimConfig:
                 f"dt={self.dt} violates the CFL bound 0.5*min(dr, r_inner*dtheta)"
                 f"={0.5 * wave_limit}"
             )
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not 0.0 < self.dt_min < self.dt:
             raise ValueError(
                 f"dt_min must lie in (0, dt) (dt_min={self.dt_min}, dt={self.dt})"
             )
-        if not self.blow_threshold > 0:
-            raise ValueError(f"blow_threshold must be positive, got {self.blow_threshold}")
+        if not 0 < self.blow_threshold < math.inf:
+            raise ValueError(
+                f"blow_threshold must be positive and finite, got {self.blow_threshold}"
+            )
         if self.report_every < 1:
             raise ValueError(f"report_every must be >= 1, got {self.report_every}")
         if self.initial_profile not in PROFILES:
@@ -427,16 +423,10 @@ def _crossing(
     mesh: AnnulusMesh, state: State, params: ModelParams, threshold: float
 ) -> str | None:
     """Name of the triggered monitor, or None.  Non-finite counts as crossed."""
-    grad_omega, grad_gamma = geometry.gradient_energy(mesh, state.u)
-    kin = geometry.integrate_interior(mesh, state.v**2) + geometry.integrate_boundary(
-        mesh, state.v[-1] ** 2
-    )
-    trace_sq = geometry.integrate_boundary(mesh, state.u[-1] ** 2)
-    phase_sq = kin + grad_omega + grad_gamma + trace_sq
+    phase_sq = functionals._phase_parts(mesh, state)[3]
     if not phase_sq < threshold * threshold:
         return "PhaseNorm"
-    lp = geometry.integrate_interior(mesh, np.abs(state.u) ** params.p)
-    lq = geometry.integrate_boundary(mesh, np.abs(state.u[-1]) ** params.q)
+    lp, lq = functionals._source_norms(mesh, state.u, params)
     if not lp + lq < threshold:
         return "LpNorm"
     return None

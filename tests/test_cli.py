@@ -124,6 +124,9 @@ def test_classify_invalid_parameters_exit_2(capsys):
     assert cli.main(["classify", "--N", "1"]) == 2
     assert "error:" in capsys.readouterr().err
     assert cli.main(["classify", "--p", "1.5"]) == 2
+    # non-finite weights and exponents are invalid, not a verdict
+    assert cli.main(["classify", "--gamma", "1", "--p", "inf"]) == 2
+    assert cli.main(["classify", "--alpha", "inf"]) == 2
 
 
 def test_no_subcommand_is_a_usage_error():
@@ -230,6 +233,13 @@ def test_simulate_config_errors(tmp_path, capsys):
                      str(tmp_path / "o")]) == 2
     assert cli.main(["simulate", str(tmp_path / "missing.json"),
                      str(tmp_path / "o")]) == 2
+    # json writes inf as Infinity, which json.load reads back as inf
+    cfg = write_sim_config(tmp_path / "inf.json", t_end=math.inf)
+    assert cli.main(["simulate", str(cfg), str(tmp_path / "o")]) == 2
+    assert "t_end" in capsys.readouterr().err
+    cfg = write_sim_config(tmp_path / "frac.json", mesh={"n_r": 17.5, "n_theta": 16})
+    assert cli.main(["simulate", str(cfg), str(tmp_path / "o")]) == 2
+    assert "n_r must be an integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +281,14 @@ def test_scan_cells_agree_with_classify(tmp_path):
     assert len(seen) >= 2
 
 
-def test_scan_simulation_mode_and_thread_determinism(tmp_path, monkeypatch):
+def test_scan_simulation_mode_and_determinism(tmp_path):
     argv = ["scan", "--gamma", "1", "--alpha", "1", "--m", "2",
             "--axis1", "p:3:4:2", "--axis2", "a:0:1:2",
             "--mode", "ClassifyAndSimulate", "--out", None]
     texts = []
-    for threads in ("1", "8"):
-        out = tmp_path / f"grid{threads}.csv"
+    for run in range(2):
+        out = tmp_path / f"grid{run}.csv"
         argv[-1] = str(out)
-        monkeypatch.setenv("KWL_THREADS", threads)
         assert cli.main(argv) == 0
         texts.append(out.read_text())
     assert texts[0] == texts[1]
@@ -316,15 +325,6 @@ def test_scan_simulation_mode_requires_planar_model(tmp_path, capsys):
          "--mode", "ClassifyAndSimulate", "--out", str(tmp_path / "x.csv")]
     ) == 2
     assert "N=2" in capsys.readouterr().err
-
-
-def test_scan_rejects_bad_thread_count(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("KWL_THREADS", "0")
-    assert cli.main(
-        ["scan", "--gamma", "1", "--axis1", "p:2:4:2",
-         "--axis2", "q:2:4:2", "--out", str(tmp_path / "x.csv")]
-    ) == 2
-    assert "KWL_THREADS" in capsys.readouterr().err
 
 
 def test_scan_spec_direct_construction():

@@ -14,14 +14,13 @@ from kwlab.functionals import (
     dissipation_rate,
     energy_E,
     energy_identity_residual,
-    h0_inner,
     lyapunov_Z,
     make_report,
     potential_J,
 )
 from kwlab.geometry import build_annulus
 from kwlab.model import ModelParams
-from kwlab.solver import negative_energy_data
+from kwlab.solver import _crossing, negative_energy_data
 
 
 @pytest.fixture(scope="module")
@@ -37,12 +36,6 @@ def small_mesh():
 def ramp_state(mesh, scale=1.0):
     u = scale * (mesh.r - 1.0)[:, None] * np.ones((1, mesh.n_theta))
     return State(u=u, v=np.zeros_like(u), t=0.0)
-
-
-def test_state_trace_is_same_storage(small_mesh):
-    st = ramp_state(small_mesh)
-    assert st.v_boundary is st.v[-1] or np.shares_memory(st.v_boundary, st.v)
-    assert np.array_equal(st.v_boundary, st.v_interior[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +135,9 @@ def test_Z_includes_pairing(small_mesh):
     st.v[:] = 0.01 * st.u  # small enough that the kinetic term keeps E < 0
     z = lyapunov_Z(small_mesh, st, par, LyapunovConfig(k=0.25, omega=2.0))
     k_val = F.K(small_mesh, st, par)
-    pairing = h0_inner(small_mesh, (st.v, st.v[-1]), (st.u, st.u[-1]))
+    pairing = G.integrate_interior(small_mesh, st.v * st.u) + G.integrate_boundary(
+        small_mesh, st.v[-1] * st.u[-1]
+    )
     assert k_val > 0.0
     assert z == pytest.approx(k_val**0.75 + 2.0 * pairing, rel=1e-12)
 
@@ -302,11 +297,33 @@ def test_residual_rejects_time_reversal(small_mesh):
         energy_identity_residual(r0, r1)
 
 
-def test_h0_inner_accepts_states_and_tuples(small_mesh):
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal((33, 32))
-    w = rng.standard_normal((33, 32))
-    sa = State(u=np.zeros_like(v), v=v)
-    sb = State(u=np.zeros_like(w), v=w)
-    direct = h0_inner(small_mesh, (v, v[-1]), (w, w[-1]))
-    assert h0_inner(small_mesh, sa, sb) == pytest.approx(direct, rel=1e-14)
+@pytest.mark.parametrize(
+    "par",
+    [
+        ModelParams(gamma=1.0, p=4, alpha=1.0, m=3),
+        ModelParams(delta=1.0, q=3, beta=1.0, mu=2, p=4),
+        ModelParams(gamma=0.7, p=3, delta=1.3, q=4),
+    ],
+)
+def test_report_agrees_exactly_with_functionals_and_monitor(small_mesh, par):
+    st = negative_energy_data(small_mesh, par, "ramp", margin=1.0)
+    st.v[:] = 0.01 * st.u
+    lyap = default_k(par)
+    rep = make_report(small_mesh, st, par, lyap)
+    assert rep.J == potential_J(small_mesh, st, par)
+    assert rep.E == energy_E(small_mesh, st, par)
+    assert rep.K == F.K(small_mesh, st, par)
+    assert rep.Z == lyapunov_Z(small_mesh, st, par, lyap)
+    # the blow-up monitor reads the same phase norm and source norms, so at
+    # thresholds below, at and above each it gives the verdict the report's
+    # columns give
+    src = rep.lp_interior + rep.lq_boundary
+    phase = math.sqrt(rep.phase_norm_sq)
+    for threshold in (0.5 * phase, phase, 2.0 * phase, src, 2.0 * src):
+        if not rep.phase_norm_sq < threshold * threshold:
+            want = "PhaseNorm"
+        elif not src < threshold:
+            want = "LpNorm"
+        else:
+            want = None
+        assert _crossing(small_mesh, st, par, threshold) == want

@@ -168,6 +168,10 @@ def test_config_default_dt_follows_mesh():
             ),
             "margin must be positive",
         ),
+        (dict(params=SOURCE_PARAMS, t_end=math.inf), "t_end must be positive and finite"),
+        (dict(params=SOURCE_PARAMS, blow_threshold=math.inf), "blow_threshold"),
+        (dict(params=SOURCE_PARAMS, n_r=33.7), "n_r must be an integer"),
+        (dict(params=SOURCE_PARAMS, n_theta=math.nan), "n_theta must be an integer"),
     ],
 )
 def test_config_validation(kwargs, pattern):
