@@ -35,6 +35,7 @@ import numpy as np
 __all__ = [
     "AnnulusMesh",
     "build_annulus",
+    "check_mesh_args",
     "integrate_interior",
     "integrate_boundary",
     "laplacian",
@@ -64,16 +65,7 @@ class AnnulusMesh:
     """
 
     def __init__(self, r_inner: float, r_outer: float, n_r: int, n_theta: int):
-        if not r_inner > 0:
-            raise ValueError(f"r_inner must be positive, got {r_inner}")
-        if not r_inner < r_outer < np.inf:
-            raise ValueError(
-                f"radii must satisfy r_inner < r_outer < inf ({r_inner}, {r_outer})"
-            )
-        if n_r < 3:
-            raise ValueError(f"n_r must be at least 3, got {n_r}")
-        if n_theta < 8:
-            raise ValueError(f"n_theta must be at least 8, got {n_theta}")
+        check_mesh_args(r_inner, r_outer, n_r, n_theta)
         self.r_inner = float(r_inner)
         self.r_outer = float(r_outer)
         self.n_r = int(n_r)
@@ -115,6 +107,21 @@ class AnnulusMesh:
             f"AnnulusMesh(r_inner={self.r_inner}, r_outer={self.r_outer}, "
             f"n_r={self.n_r}, n_theta={self.n_theta})"
         )
+
+
+def check_mesh_args(r_inner: float, r_outer: float, n_r: int, n_theta: int) -> None:
+    """Raise ValueError unless the arguments describe a valid AnnulusMesh."""
+    if not r_inner > 0:
+        raise ValueError(f"r_inner must be positive, got {r_inner}")
+    if not r_inner < r_outer < np.inf:
+        raise ValueError(
+            f"radii must satisfy r_inner < r_outer < inf ({r_inner}, {r_outer})"
+        )
+    for name, value, least in (("n_r", n_r, 3), ("n_theta", n_theta, 8)):
+        if not float(value).is_integer():
+            raise ValueError(f"{name} must be an integer, got {value}")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def build_annulus(r_inner: float, r_outer: float, n_r: int, n_theta: int) -> AnnulusMesh:

@@ -24,6 +24,8 @@ __all__ = [
     "AssumptionReport",
     "damping_P",
     "damping_Q",
+    "damping_P_prime",
+    "damping_Q_prime",
     "source_f",
     "source_g",
     "check_assumptions",
@@ -96,6 +98,16 @@ def _odd_power(v, e: float):
     return out
 
 
+def _odd_power_prime(v, e: float):
+    """(e-1)|v|^(e-2), the derivative of _odd_power; inf at v=0 when e<2."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(divide="ignore"):
+        out = (e - 1.0) * np.abs(v) ** (e - 2.0)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
 def damping_P(params: ModelParams, v):
     """Interior damping alpha*(a|v|^{m_tilde-2}v + |v|^{m-2}v); odd, nondecreasing."""
     if params.alpha == 0.0:
@@ -113,6 +125,26 @@ def damping_Q(params: ModelParams, v):
     out = _odd_power(v, params.mu)
     if params.b != 0.0:
         out = out + params.b * _odd_power(v, params.mu_tilde)
+    return params.beta * out
+
+
+def damping_P_prime(params: ModelParams, v):
+    """dP/dv = alpha*(a(m_tilde-1)|v|^{m_tilde-2} + (m-1)|v|^{m-2}) >= 0."""
+    if params.alpha == 0.0:
+        return np.zeros_like(np.asarray(v, dtype=float)) if np.ndim(v) else 0.0
+    out = _odd_power_prime(v, params.m)
+    if params.a != 0.0:
+        out = out + params.a * _odd_power_prime(v, params.m_tilde)
+    return params.alpha * out
+
+
+def damping_Q_prime(params: ModelParams, v):
+    """dQ/dv = beta*(b(mu_tilde-1)|v|^{mu_tilde-2} + (mu-1)|v|^{mu-2}) >= 0."""
+    if params.beta == 0.0:
+        return np.zeros_like(np.asarray(v, dtype=float)) if np.ndim(v) else 0.0
+    out = _odd_power_prime(v, params.mu)
+    if params.b != 0.0:
+        out = out + params.b * _odd_power_prime(v, params.mu_tilde)
     return params.beta * out
 
 

@@ -21,8 +21,15 @@ energy-identity residual measures pure time-discretization error.
 
 Near blow-up the damping solve stays pointwise: the equation
 x + kappa*D(x) = b has exactly one root, trapped between 0 and b, found by a
-vectorized safeguarded Newton iteration (bisection fallback), with a closed
-form when every active damping exponent is 2.
+vectorized safeguarded Newton iteration (bisection fallback, as in rtsafe),
+with a closed form when every active damping exponent is 2.  An entry whose
+residual meets the tolerance is frozen; only the others shrink their bracket
+and move.
+
+S is evaluated once per step: the S(u_next) that ends a step is the S(u_n)
+that starts the next one (first same as last), so simulate carries it from
+step to step.  A rolled-back step leaves the state, and with it the cached
+S(u_n), untouched.
 
 Blow-up detection: after each step the phase norm and the source norms are
 checked against the threshold; a crossing rolls the step back and halves dt,
@@ -40,7 +47,15 @@ import numpy as np
 from . import functionals, geometry
 from .functionals import EnergyReport, State, make_report
 from .geometry import AnnulusMesh, build_annulus
-from .model import ModelParams, damping_P, damping_Q, source_f, source_g
+from .model import (
+    ModelParams,
+    damping_P,
+    damping_P_prime,
+    damping_Q,
+    damping_Q_prime,
+    source_f,
+    source_g,
+)
 
 __all__ = [
     "StepFailure",
@@ -179,20 +194,22 @@ def _accel(mesh: AnnulusMesh, u: np.ndarray, params: ModelParams) -> np.ndarray:
     return acc
 
 
+def _mix_free_row(mesh: AnnulusMesh, d: np.ndarray, q_last) -> np.ndarray:
+    """Overwrite d's free-circle row with the mass-scaled mix
+    ((dr/2) d + q_last) / (1 + dr/2); q_last is None when Q is switched off."""
+    half = 0.5 * mesh.dr
+    d_last = half * d[-1]
+    if q_last is not None:
+        d_last = d_last + q_last
+    d[-1] = d_last / (1.0 + half)
+    return d
+
+
 def _damping_accel(mesh: AnnulusMesh, v: np.ndarray, params: ModelParams) -> np.ndarray:
     """Damping acceleration D(v): P(v) at interior rows, the mass-scaled mix
     ((dr/2) P(v) + Q(v)) / (1 + dr/2) on the free-circle row."""
-    half = 0.5 * mesh.dr
-    if params.alpha != 0.0:
-        d = damping_P(params, v)
-        d_last = half * d[-1]
-    else:
-        d = np.zeros_like(v)
-        d_last = 0.0
-    if params.beta != 0.0:
-        d_last = d_last + damping_Q(params, v[-1])
-    d[-1] = d_last / (1.0 + half)
-    return d
+    q_last = damping_Q(params, v[-1]) if params.beta != 0.0 else None
+    return _mix_free_row(mesh, damping_P(params, v), q_last)
 
 
 def _damping_linear_coeffs(mesh: AnnulusMesh, params: ModelParams):
@@ -214,28 +231,8 @@ def _damping_linear_coeffs(mesh: AnnulusMesh, params: ModelParams):
 def _damping_derivative(mesh: AnnulusMesh, v: np.ndarray, params: ModelParams) -> np.ndarray:
     """dD/dv, for the Newton iteration; may be inf at v = 0 when an exponent
     is below 2 (the safeguard handles it)."""
-    half = 0.5 * mesh.dr
-    av = np.abs(v)
-
-    def dP(x):
-        out = (params.m - 1.0) * x ** (params.m - 2.0)
-        if params.a != 0.0:
-            out = out + params.a * (params.m_tilde - 1.0) * x ** (params.m_tilde - 2.0)
-        return params.alpha * out
-
-    def dQ(x):
-        out = (params.mu - 1.0) * x ** (params.mu - 2.0)
-        if params.b != 0.0:
-            out = out + params.b * (params.mu_tilde - 1.0) * x ** (params.mu_tilde - 2.0)
-        return params.beta * out
-
-    with np.errstate(divide="ignore"):
-        d = dP(av) if params.alpha != 0.0 else np.zeros_like(v)
-        d_last = half * d[-1]
-        if params.beta != 0.0:
-            d_last = d_last + dQ(av[-1])
-    d[-1] = d_last / (1.0 + half)
-    return d
+    q_last = damping_Q_prime(params, v[-1]) if params.beta != 0.0 else None
+    return _mix_free_row(mesh, damping_P_prime(params, v), q_last)
 
 
 def _solve_damped_kick(
@@ -245,7 +242,8 @@ def _solve_damped_kick(
 
     D is odd and nondecreasing, so the root is unique and lies between 0 and
     b componentwise.  Newton from x = b with a bisection safeguard; closed
-    form when D is linear.
+    form when D is linear.  Converged entries are frozen: each sits on an
+    end of its own bracket, so the bracket test would bisect it away.
     """
     if params.alpha == 0.0 and params.beta == 0.0:
         return b.copy()
@@ -262,36 +260,56 @@ def _solve_damped_kick(
     tol = 1e-14 * (1.0 + np.abs(b))
     for _ in range(120):
         g = x + kappa * _damping_accel(mesh, x, params) - b
-        if np.all(np.abs(g) <= tol):
+        done = np.abs(g) <= tol
+        if done.all():
             return x
+        active = ~done
         pos = g > 0
-        hi = np.where(pos, x, hi)
-        lo = np.where(pos, lo, x)
+        hi = np.where(active & pos, x, hi)
+        lo = np.where(active & ~pos, x, lo)
         with np.errstate(invalid="ignore", over="ignore"):
             x_new = x - g / (1.0 + kappa * _damping_derivative(mesh, x, params))
         bad = ~np.isfinite(x_new) | (x_new <= lo) | (x_new >= hi)
-        x = np.where(bad, 0.5 * (lo + hi), x_new)
-    g = x + kappa * _damping_accel(mesh, x, params) - b
-    if np.all(np.abs(g) <= 1e3 * tol):
+        x = np.where(done, x, np.where(bad, 0.5 * (lo + hi), x_new))
+    resid = np.abs(x + kappa * _damping_accel(mesh, x, params) - b)
+    unconverged = ~(resid <= 1e3 * tol)
+    if not unconverged.any():
         return x
-    raise StepFailure("damping solve did not converge")
+    raise StepFailure(
+        f"damping solve did not converge: {np.count_nonzero(unconverged)} of "
+        f"{resid.size} entries above tolerance, worst residual {np.max(resid):.3e}"
+    )
 
 
-def step(mesh: AnnulusMesh, state: State, params: ModelParams, dt: float) -> State:
-    """One kick-drift-kick step of size dt; returns a fresh State."""
+def step(
+    mesh: AnnulusMesh,
+    state: State,
+    params: ModelParams,
+    dt: float,
+    s_u: np.ndarray | None = None,
+) -> tuple[State, np.ndarray]:
+    """One kick-drift-kick step of size dt.
+
+    s_u is S(state.u) if the caller already has it, else None.  Returns a
+    fresh State and S of its u, which the next step can take as its s_u.
+    Neither s_u nor the state is modified.
+    """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     kappa = 0.5 * dt
-    b = state.v + kappa * _accel(mesh, state.u, params)
+    if s_u is None:
+        s_u = _accel(mesh, state.u, params)
+    b = state.v + kappa * s_u
     b[0] = 0.0
     v_half = _solve_damped_kick(mesh, b, kappa, params)
     u_new = state.u + dt * v_half
     u_new[0] = 0.0
-    v_new = v_half + kappa * _accel(mesh, u_new, params)
+    s_new = _accel(mesh, u_new, params)
+    v_new = v_half + kappa * s_new
     if params.alpha != 0.0 or params.beta != 0.0:
         v_new = v_new - kappa * _damping_accel(mesh, v_half, params)
     v_new[0] = 0.0
-    return State(u=u_new, v=v_new, t=state.t + dt)
+    return State(u=u_new, v=v_new, t=state.t + dt), s_new
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +344,8 @@ class SimConfig:
     def __post_init__(self):
         if self.params.N != 2:
             raise ValueError(f"the simulator is two-dimensional; N=2 required, got N={self.params.N}")
-        for name in ("n_r", "n_theta"):
-            if not float(getattr(self, name)).is_integer():
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
+        # the mesh's own checks, before dr and dtheta divide by its sizes
+        geometry.check_mesh_args(self.r_inner, self.r_outer, self.n_r, self.n_theta)
         dr = (self.r_outer - self.r_inner) / (self.n_r - 1)
         dtheta = 2.0 * math.pi / self.n_theta
         wave_limit = min(dr, self.r_inner * dtheta)
@@ -449,6 +466,7 @@ def simulate(
         lyap = None
 
     reports = [make_report(mesh, state, params, lyap)]
+    s_u = _accel(mesh, state.u, params)
     dt0 = cfg.dt
     dt = dt0
     accepted = 0
@@ -461,7 +479,7 @@ def simulate(
     while state.t < cfg.t_end - eps:
         dt_step = min(dt, cfg.t_end - state.t)
         try:
-            candidate = step(mesh, state, params, dt_step)
+            candidate, s_candidate = step(mesh, state, params, dt_step, s_u)
         except StepFailure:
             if dt <= cfg.dt_min:
                 blew_up = True
@@ -484,7 +502,7 @@ def simulate(
             dt = max(0.5 * dt, cfg.dt_min)
             clean_streak = 0
             continue
-        state = candidate
+        state, s_u = candidate, s_candidate
         accepted += 1
         clean_streak += 1
         if clean_streak >= 64 and dt < dt0:

@@ -240,6 +240,12 @@ def test_simulate_config_errors(tmp_path, capsys):
     cfg = write_sim_config(tmp_path / "frac.json", mesh={"n_r": 17.5, "n_theta": 16})
     assert cli.main(["simulate", str(cfg), str(tmp_path / "o")]) == 2
     assert "n_r must be an integer" in capsys.readouterr().err
+    # below the mesh's bounds: rejected before dr and dtheta divide by zero
+    for mesh, msg in (({"n_r": 1}, "n_r must be at least 3"),
+                      ({"n_theta": 0}, "n_theta must be at least 8")):
+        cfg = write_sim_config(tmp_path / "small.json", mesh=mesh)
+        assert cli.main(["simulate", str(cfg), str(tmp_path / "o")]) == 2
+        assert msg in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,8 @@ def test_mesh_spacing(mesh):
         ((1.0, 2.0, 2, 64), "n_r"),
         ((1.0, 2.0, 33, 4), "n_theta"),
         ((1.0, math.inf, 33, 64), "r_outer < inf"),
+        ((1.0, 2.0, 33.7, 64), "n_r must be an integer"),
+        ((1.0, 2.0, 33, math.nan), "n_theta must be an integer"),
     ],
 )
 def test_bad_mesh_arguments(args, fragment):

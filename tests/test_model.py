@@ -10,7 +10,9 @@ from kwlab.model import (
     ModelParams,
     check_assumptions,
     damping_P,
+    damping_P_prime,
     damping_Q,
+    damping_Q_prime,
     source_f,
     source_g,
 )
@@ -80,6 +82,8 @@ def test_damping_switch_off():
     assert not damping_P(p, v).any()
     q = ModelParams(beta=0.0)
     assert not damping_Q(q, v).any()
+    assert not damping_P_prime(p, v).any()
+    assert not damping_Q_prime(q, v).any()
 
 
 def test_damping_two_terms():
@@ -94,6 +98,20 @@ def test_damping_Q_mirrors_P():
                     beta=1.3, b=0.7, mu=2.5, mu_tilde=2.0)
     v = np.linspace(-2, 2, 9)
     assert np.allclose(damping_P(p, v), damping_Q(p, v))
+
+
+def test_damping_derivatives_match_difference_quotients():
+    par = ModelParams(alpha=1.3, a=0.7, m=3.5, m_tilde=1.5,
+                      beta=0.9, b=0.4, mu=2.5, mu_tilde=1.2)
+    v = np.concatenate([-np.geomspace(3.0, 0.05, 8), np.geomspace(0.05, 3.0, 8)])
+    h = 1e-6 * np.abs(v)
+    for f, df in ((damping_P, damping_P_prime), (damping_Q, damping_Q_prime)):
+        quotient = (f(par, v + h) - f(par, v - h)) / (2.0 * h)
+        assert np.allclose(df(par, v), quotient, rtol=1e-7)
+        assert df(par, -1.7) == df(par, 1.7) > 0.0
+    # an exponent below 2 makes the slope at rest infinite
+    assert damping_P_prime(par, 0.0) == math.inf
+    assert damping_Q_prime(ModelParams(beta=1.0, mu=3), 0.0) == 0.0
 
 
 def test_odd_symmetry():

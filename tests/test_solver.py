@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from kwlab import solver
 from kwlab.functionals import State, energy_E, make_report
 from kwlab.geometry import build_annulus
 from kwlab.model import ModelParams
 from kwlab.solver import (
     SimConfig,
+    StepFailure,
     initial_state,
     negative_energy_data,
     radial_profile,
@@ -32,7 +34,7 @@ SOURCE_PARAMS = ModelParams(gamma=1.0, p=4)
 def test_step_zero_state_is_fixed_point(mesh):
     par = ModelParams(alpha=1.0, m=3, gamma=1.0, p=4)
     st = State(u=np.zeros((33, 32)), v=np.zeros((33, 32)))
-    out = step(mesh, st, par, 0.01)
+    out, _ = step(mesh, st, par, 0.01)
     assert np.all(out.u == 0.0)
     assert np.all(out.v == 0.0)
     assert out.t == 0.01
@@ -53,7 +55,7 @@ def test_step_preserves_pinned_row(mesh):
     st = State(u=u, v=v)
     par = ModelParams(alpha=0.5, m=3, beta=0.2, mu=2.5, gamma=0.3, p=3)
     for _ in range(5):
-        st = step(mesh, st, par, 0.005)
+        st, _ = step(mesh, st, par, 0.005)
         assert np.all(st.u[0] == 0.0)
         assert np.all(st.v[0] == 0.0)
 
@@ -67,7 +69,7 @@ def test_step_undamped_energy_drift_is_quadratic(mesh):
         st = State(u=u0.copy(), v=np.zeros_like(u0))
         e0 = energy_E(mesh, st, par)
         for _ in range(int(round(0.5 / dt))):
-            st = step(mesh, st, par, dt)
+            st, _ = step(mesh, st, par, dt)
         drifts.append(abs(energy_E(mesh, st, par) - e0))
     assert drifts[0] < 1e-3
     assert drifts[0] / drifts[1] == pytest.approx(4.0, rel=0.1)
@@ -81,11 +83,54 @@ def test_step_damping_decreases_energy(mesh):
     st = State(u=np.zeros((33, 32)), v=v)
     energies = [energy_E(mesh, st, par)]
     for _ in range(40):
-        st = step(mesh, st, par, 0.01)
+        st, _ = step(mesh, st, par, 0.01)
         energies.append(energy_E(mesh, st, par))
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-12)
     assert energies[-1] < 0.5 * energies[0]
+
+
+@pytest.mark.parametrize(
+    "par",
+    [
+        ModelParams(alpha=1.0, m=4, gamma=1.0, p=3),
+        ModelParams(alpha=1.0, m=4, a=1.0, m_tilde=1.5, gamma=1.0, p=3),
+    ],
+)
+def test_damped_kick_newton_iteration_count(monkeypatch, par):
+    """Converged entries stay put, so a kick costs a handful of damping
+    evaluations, not a bisection tail of dozens."""
+    counts = {"kicks": 0, "evals": 0, "inside": False}
+    kick, damping = solver._solve_damped_kick, solver._damping_accel
+
+    def counted_kick(*args):
+        counts["kicks"] += 1
+        counts["inside"] = True
+        try:
+            return kick(*args)
+        finally:
+            counts["inside"] = False
+
+    def counted_damping(*args):
+        counts["evals"] += counts["inside"]
+        return damping(*args)
+
+    monkeypatch.setattr(solver, "_solve_damped_kick", counted_kick)
+    monkeypatch.setattr(solver, "_damping_accel", counted_damping)
+    cfg = SimConfig(params=par, t_end=0.25, initial_profile="sine", initial_scale=2.0)
+    _, blowup = simulate(cfg)
+    assert blowup.steps == counts["kicks"] == 20
+    assert counts["evals"] / counts["kicks"] <= 8.0
+
+
+def test_damped_kick_failure_names_residual(mesh):
+    par = ModelParams(alpha=1.0, m=3)
+    b = np.ones((33, 32))
+    b[5, 7] = np.nan
+    with pytest.raises(
+        StepFailure, match=r"1 of 1056 entries above tolerance, worst residual nan"
+    ):
+        solver._solve_damped_kick(mesh, b, 0.01, par)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +217,10 @@ def test_config_default_dt_follows_mesh():
         (dict(params=SOURCE_PARAMS, blow_threshold=math.inf), "blow_threshold"),
         (dict(params=SOURCE_PARAMS, n_r=33.7), "n_r must be an integer"),
         (dict(params=SOURCE_PARAMS, n_theta=math.nan), "n_theta must be an integer"),
+        (dict(params=SOURCE_PARAMS, n_r=1), "n_r must be at least 3"),
+        (dict(params=SOURCE_PARAMS, n_r=2), "n_r must be at least 3"),
+        (dict(params=SOURCE_PARAMS, n_theta=0), "n_theta must be at least 8"),
+        (dict(params=SOURCE_PARAMS, r_inner=2.0, r_outer=1.0), "radii must satisfy"),
     ],
 )
 def test_config_validation(kwargs, pattern):
@@ -310,6 +359,50 @@ def test_simulate_initial_override_changes_outcome():
     assert reports[0].E == pytest.approx(
         energy_E(mesh, hot, weak), rel=1e-12
     )
+
+
+def test_simulate_evaluates_S_once_per_step(monkeypatch):
+    calls = {"step": 0, "accel": 0}
+    step_fn, accel = solver.step, solver._accel
+
+    def counted_step(*args):
+        calls["step"] += 1
+        return step_fn(*args)
+
+    def counted_accel(*args):
+        calls["accel"] += 1
+        return accel(*args)
+
+    monkeypatch.setattr(solver, "step", counted_step)
+    monkeypatch.setattr(solver, "_accel", counted_accel)
+    cfg = SimConfig(params=ModelParams(alpha=1.0, m=3, gamma=1.0, p=4),
+                    n_r=17, n_theta=16, t_end=0.5, initial_scale=0.5)
+    _, blowup = simulate(cfg)
+    assert calls["step"] == blowup.steps > 0
+    assert calls["accel"] == calls["step"] + 1
+
+
+def test_simulate_cached_S_survives_rollbacks(monkeypatch):
+    """Rolled-back steps keep the cached S(u_n): the run is identical to one
+    whose every step evaluates S(u_n) afresh."""
+    cfg = SimConfig(
+        params=ModelParams(alpha=1.0, m=3, gamma=1.0, p=4), n_r=17, n_theta=16,
+        t_end=50.0, dt_min=1e-5, blow_threshold=1e3, report_every=3,
+        initial_mode="auto_negative_energy",
+    )
+    cached = simulate(cfg)
+    step_fn = solver.step
+    attempts = []
+
+    def uncached_step(mesh, state, params, dt, s_u=None):
+        attempts.append(dt)
+        return step_fn(mesh, state, params, dt)
+
+    monkeypatch.setattr(solver, "step", uncached_step)
+    fresh = simulate(cfg)
+    assert len(attempts) > fresh[1].steps  # steps were rejected
+    assert fresh[1].blew_up
+    assert cached == fresh
 
 
 def test_simulate_identity_residual_refines():
