@@ -247,7 +247,9 @@ def run_oracle(
     t_m = oracle_mod.blowup_time(prob, tol)
     print(f"T_m = {fmt_json_float(t_m)}")
     if trajectory_path is not None:
-        traj = oracle_mod.integrate_comparison(prob, blow_threshold or 1e6)
+        traj = oracle_mod.integrate_comparison(
+            prob, 1e6 if blow_threshold is None else blow_threshold
+        )
         lines = ["t,y"]
         lines += [f"{fmt_csv_float(t)},{fmt_csv_float(y)}" for t, y in traj]
         Path(trajectory_path).write_text("\n".join(lines) + "\n")

@@ -92,6 +92,12 @@ class AnnulusMesh:
         c[-1] *= 0.5
         self._angular_form_weights = c
 
+        # stencil denominators of laplacian and laplace_beltrami
+        r = self.r[1:-1, None]
+        self._radial_den = r * self.dr
+        self._angular_den = (r * self.dtheta) ** 2
+        self._circle_den = (self.r_outer * self.dtheta) ** 2
+
     @property
     def area(self) -> float:
         """Quadrature measure of the annulus (equals pi*(r_outer^2 - r_inner^2))."""
@@ -151,13 +157,13 @@ def _check_boundary(mesh: AnnulusMesh, v: np.ndarray, name: str = "trace"):
 def integrate_interior(mesh: AnnulusMesh, f: np.ndarray) -> float:
     """Quadrature of an interior field over the annulus."""
     f = _check_interior(mesh, f)
-    return float(np.sum(f * mesh.interior_weights))
+    return float((f * mesh.interior_weights).sum())
 
 
 def integrate_boundary(mesh: AnnulusMesh, g: np.ndarray) -> float:
     """Quadrature of a trace over the free (outer) circle."""
     g = _check_boundary(mesh, g)
-    return float(np.sum(g * mesh.boundary_weights))
+    return float((g * mesh.boundary_weights).sum())
 
 
 def laplacian(mesh: AnnulusMesh, u: np.ndarray) -> np.ndarray:
@@ -168,14 +174,13 @@ def laplacian(mesh: AnnulusMesh, u: np.ndarray) -> np.ndarray:
     row is governed by its own surface equation, not by this operator.
     """
     u = _check_interior(mesh, u)
-    out = np.zeros_like(u)
-    dr, dth = mesh.dr, mesh.dtheta
-    r = mesh.r[1:-1, None]
-    flux = mesh.r_half[:, None] * (u[1:] - u[:-1]) / dr  # r_{i+1/2} du/dr
-    out[1:-1] = (flux[1:] - flux[:-1]) / (r * dr)
-    out[1:-1] += (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1))[1:-1] / (
-        r * dth
-    ) ** 2
+    out = np.empty_like(u)
+    out[0] = out[-1] = 0.0
+    flux = mesh.r_half[:, None] * (u[1:] - u[:-1]) / mesh.dr  # r_{i+1/2} du/dr
+    out[1:-1] = (flux[1:] - flux[:-1]) / mesh._radial_den
+    ui = u[1:-1]
+    wrapped = np.concatenate((ui[:, -1:], ui, ui[:, :1]), axis=1)  # periodic in theta
+    out[1:-1] += (wrapped[:, 2:] - 2.0 * ui + wrapped[:, :-2]) / mesh._angular_den
     return out
 
 
@@ -187,7 +192,8 @@ def laplace_beltrami(mesh: AnnulusMesh, v: np.ndarray) -> np.ndarray:
     error).
     """
     v = _check_boundary(mesh, v)
-    return (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (mesh.r_outer * mesh.dtheta) ** 2
+    wrapped = np.concatenate((v[-1:], v, v[:1]))
+    return (wrapped[2:] - 2.0 * v + wrapped[:-2]) / mesh._circle_den
 
 
 def boundary_flux(mesh: AnnulusMesh, u: np.ndarray) -> np.ndarray:
@@ -215,9 +221,10 @@ def gradient_energy(mesh: AnnulusMesh, u: np.ndarray) -> tuple[float, float]:
     u = _check_interior(mesh, u)
     dr, dth = mesh.dr, mesh.dtheta
     du_r = (u[1:] - u[:-1]) / dr
-    radial = float(np.sum(mesh.r_half[:, None] * du_r**2) * dr * dth)
-    du_th = np.roll(u, -1, axis=1) - u
-    angular = float(np.sum(mesh._angular_form_weights * np.sum(du_th**2, axis=1)))
-    dv = np.roll(u[-1], -1) - u[-1]
-    circle = float(np.sum(dv**2) / (mesh.r_outer * dth))
+    radial = float((mesh.r_half[:, None] * du_r**2).sum() * dr * dth)
+    du_th = np.empty_like(u)  # u_{i,j+1} - u_{i,j}, periodic in j
+    np.subtract(u[:, 1:], u[:, :-1], out=du_th[:, :-1])
+    np.subtract(u[:, 0], u[:, -1], out=du_th[:, -1])
+    angular = float((mesh._angular_form_weights * (du_th**2).sum(axis=1)).sum())
+    circle = float((du_th[-1] ** 2).sum() / (mesh.r_outer * dth))
     return radial + angular, circle

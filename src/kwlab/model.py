@@ -92,7 +92,10 @@ class ModelParams:
 def _odd_power(v, e: float):
     """|v|^(e-2) * v with the continuous extension 0 at v=0 (valid for e>1)."""
     v = np.asarray(v, dtype=float)
-    out = np.sign(v) * np.abs(v) ** (e - 1.0)
+    if e == 2.0:
+        out = v + 0.0  # sign(v)*|v|**1.0 exactly, including -0.0 -> +0.0
+    else:
+        out = np.sign(v) * np.abs(v) ** (e - 1.0)
     if out.ndim == 0:
         return float(out)
     return out

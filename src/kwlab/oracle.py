@@ -31,7 +31,11 @@ Quadrature route (blowup_time):
         R^(1-l)/(l-1) * c/(R^l - c),
 
     and R is doubled until that bound is below tol/2; the finite part gets
-    the remaining tol/2 as its absolute tolerance.
+    the remaining tol/2 as its absolute tolerance.  When QUADPACK reports a
+    failure on the finite part, or an error estimate above tol/2, the
+    quadrature raises RuntimeError instead of returning a T_m it cannot
+    vouch for (this happens for c > 0 and l close to 1, where the cut grows
+    to 4e10 at l = 1.05 and 2e13 at l = 1.001).
 
 Integration route (integrate_comparison): explicit RK4 with the step law
 dt = eta * y^(1-l), which keeps the relative growth per step bounded as
@@ -41,6 +45,7 @@ remaining tail T_m(Y).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from scipy.integrate import quad
@@ -69,19 +74,29 @@ class OdeProblem:
 
 
 def blowup_time(prob: OdeProblem, tol: float = 1e-10) -> float:
-    """T_m(psi0) = integral_{psi0}^inf dtau/(tau^l - c), abs error <= tol."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    """T_m(psi0) = integral_{psi0}^inf dtau/(tau^l - c), abs error <= tol.
+
+    Raises RuntimeError when the quadrature cannot meet that budget.
+    """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     l, c, psi0 = prob.l, prob.c, prob.psi0
     cut = max(2.0 * psi0, 10.0)
     if c > 0:
         # double the cut until the dropped tail correction is within budget
         while cut ** (1.0 - l) / (l - 1.0) * (c / (cut**l - c)) > 0.5 * tol:
             cut *= 2.0
-    head, _ = quad(
+    # full_output=1 appends QUADPACK's message only when it reports a failure
+    head, abserr, _info, *failure = quad(
         lambda tau: 1.0 / (tau**l - c), psi0, cut, epsabs=0.5 * tol, epsrel=1e-13,
-        limit=200,
+        limit=200, full_output=1,
     )
+    if failure or not abserr <= 0.5 * tol:
+        reason = failure[0].splitlines()[0] if failure else "error estimate over budget"
+        raise RuntimeError(
+            f"quadrature of T_m failed for l={l}, c={c}, psi0={psi0}: {reason} "
+            f"(error estimate {abserr:.3g}, budget {0.5 * tol:.3g})"
+        )
     return head + cut ** (1.0 - l) / (l - 1.0)
 
 
@@ -95,13 +110,13 @@ def integrate_comparison(
     interpolation inside the final step, so trajectory[-1] is
     (t_hit, blow_threshold).
     """
-    if not blow_threshold > prob.psi0:
+    if not prob.psi0 < blow_threshold < math.inf:
         raise ValueError(
-            f"blow_threshold must exceed psi0 "
-            f"({blow_threshold} <= {prob.psi0})"
+            f"blow_threshold must exceed psi0 and be finite "
+            f"(blow_threshold={blow_threshold}, psi0={prob.psi0})"
         )
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     l, c = prob.l, prob.c
 
     def rhs(y):

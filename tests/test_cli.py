@@ -166,6 +166,29 @@ def test_oracle_rejects_bad_problem(capsys):
     assert "hypothesis violated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, fragment", [
+    (["--threshold", "0"], "blow_threshold must exceed psi0"),
+    (["--threshold", "inf"], "blow_threshold must exceed psi0"),
+    (["--tol", "inf"], "tol must be positive and finite"),
+])
+def test_oracle_rejects_bad_tolerance_and_threshold(tmp_path, capsys, extra, fragment):
+    path = tmp_path / "t.csv"
+    assert cli.main(
+        ["oracle", "--l", "2", "--c", "1", "--psi0", "2", "--trajectory", str(path)]
+        + extra
+    ) == 2
+    assert fragment in capsys.readouterr().err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("l", ["1.05", "1.001"])
+def test_oracle_failed_quadrature_exits_3(l, capsys):
+    assert cli.main(["oracle", "--l", l, "--c", "1", "--psi0", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "quadrature of T_m failed" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -184,6 +184,52 @@ def test_zero_trace(mesh):
 # gradients and the discrete Green identity
 
 
+# np.roll formulas of the operators, written out as the bitwise reference for
+# the slice-based kernels
+def roll_laplacian(m, u):
+    r = m.r[1:-1, None]
+    out = np.zeros_like(u)
+    flux = m.r_half[:, None] * (u[1:] - u[:-1]) / m.dr
+    out[1:-1] = (flux[1:] - flux[:-1]) / (r * m.dr)
+    out[1:-1] += (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1))[1:-1] / (
+        r * m.dtheta
+    ) ** 2
+    return out
+
+
+def roll_laplace_beltrami(m, v):
+    return (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (m.r_outer * m.dtheta) ** 2
+
+
+def roll_gradient_energy(m, u):
+    dr, dth = m.dr, m.dtheta
+    du_r = (u[1:] - u[:-1]) / dr
+    radial = float(np.sum(m.r_half[:, None] * du_r**2) * dr * dth)
+    du_th = np.roll(u, -1, axis=1) - u
+    angular = float(np.sum(m._angular_form_weights * np.sum(du_th**2, axis=1)))
+    dv = np.roll(u[-1], -1) - u[-1]
+    circle = float(np.sum(dv**2) / (m.r_outer * dth))
+    return radial + angular, circle
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(17, 16), (33, 32), (9, 9)])
+def test_operators_bitwise_equal_roll_formulas(n_r, n_theta):
+    m = build_annulus(0.5, 1.0, n_r, n_theta)
+    rng = np.random.default_rng(n_r * 100 + n_theta)
+    for _ in range(3):
+        u = rng.standard_normal((n_r, n_theta)) * rng.uniform(0.1, 10.0)
+        lap = G.laplacian(m, u)
+        assert np.array_equal(lap, roll_laplacian(m, u))
+        assert not lap[0].any() and not lap[-1].any()
+        assert np.array_equal(
+            G.laplace_beltrami(m, u[-1]), roll_laplace_beltrami(m, u[-1])
+        )
+        assert G.gradient_energy(m, u) == roll_gradient_energy(m, u)
+        w = np.abs(u)
+        assert G.integrate_interior(m, w) == float(np.sum(w * m.interior_weights))
+        assert G.integrate_boundary(m, w[-1]) == float(np.sum(w[-1] * m.boundary_weights))
+
+
 def test_gradient_energy_ramp(mesh):
     u = (mesh.r - 1.0)[:, None] * np.ones((1, 32))
     d_omega, d_gamma = G.gradient_energy(mesh, u)

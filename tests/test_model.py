@@ -114,6 +114,34 @@ def test_damping_derivatives_match_difference_quotients():
     assert damping_Q_prime(ModelParams(beta=1.0, mu=3), 0.0) == 0.0
 
 
+def test_exponent_two_equals_general_power_bitwise():
+    # the e = 2 fast path must reproduce sign(v)*|v|**1.0 exactly, -0.0 -> +0.0
+    v = np.concatenate([
+        [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -1e300],
+        np.random.default_rng(3).standard_normal(40),
+    ])
+
+    def power(x):
+        return np.sign(x) * np.abs(x) ** 1.0
+
+    par = ModelParams(alpha=1.3, a=0.7, beta=0.9, b=0.4, gamma=2.5, delta=1.5)
+    cases = [
+        (damping_P(par, v), par.alpha * (power(v) + par.a * power(v))),
+        (damping_Q(par, v), par.beta * (power(v) + par.b * power(v))),
+        (damping_P(ModelParams(alpha=1.3), v), 1.3 * power(v)),
+        (source_f(par, v), par.gamma * power(v)),
+        (source_g(par, v), par.delta * power(v)),
+    ]
+    nan = np.isnan(v)
+    for got, want in cases:
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
+    assert not np.signbit(damping_P(par, v)[0])
+    scalar = damping_P(par, -0.0)
+    assert type(scalar) is float and scalar == 0.0 and math.copysign(1.0, scalar) == 1.0
+
+
 def test_odd_symmetry():
     p = ModelParams(alpha=1.0, a=0.5, m=3.2, m_tilde=1.7)
     v = np.linspace(0.1, 4.0, 13)

@@ -41,16 +41,28 @@ def test_problem_validation():
 
 
 def test_blowup_time_rejects_bad_tol():
-    with pytest.raises(ValueError, match="tol must be positive"):
-        blowup_time(OdeProblem(l=2.0, c=0.0, psi0=1.0), tol=0.0)
+    prob = OdeProblem(l=2.0, c=0.0, psi0=1.0)
+    for tol in (0.0, -1e-10, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            blowup_time(prob, tol=tol)
 
 
 def test_integrate_validation():
     prob = OdeProblem(l=2.0, c=0.0, psi0=5.0)
-    with pytest.raises(ValueError, match="blow_threshold must exceed psi0"):
-        integrate_comparison(prob, blow_threshold=5.0)
-    with pytest.raises(ValueError, match="eta must be positive"):
-        integrate_comparison(prob, eta=0.0)
+    for threshold in (5.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="blow_threshold must exceed psi0"):
+            integrate_comparison(prob, blow_threshold=threshold)
+    for eta in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            integrate_comparison(prob, eta=eta)
+
+
+@pytest.mark.parametrize("l", [1.05, 1.001])
+def test_blowup_time_raises_when_quadrature_fails(l):
+    # c > 0 with l near 1 pushes the cut to ~1e13, where QUADPACK gives up;
+    # the parent returned about 0 (true T_m is about 19.9 at l = 1.05)
+    with pytest.raises(RuntimeError, match="quadrature of T_m failed"):
+        blowup_time(OdeProblem(l=l, c=1.0, psi0=2.0))
 
 
 def test_hitting_time_exact_solution():
