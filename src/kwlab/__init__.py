@@ -37,7 +37,13 @@ from .regimes import (
     classify,
     critical_exponents,
 )
-from .solver import BlowupReport, SimConfig, negative_energy_data, simulate
+from .solver import (
+    BlowupReport,
+    SimConfig,
+    negative_energy_data,
+    simulate,
+    simulate_batch,
+)
 
 __version__ = "0.1.0"
 
@@ -71,4 +77,5 @@ __all__ = [
     "negative_energy_data",
     "potential_J",
     "simulate",
+    "simulate_batch",
 ]

@@ -2,8 +2,9 @@
 
 All file outputs are byte-deterministic: floats are rendered with 17
 significant digits in JSON and 9 in CSV, rows are written in a fixed order,
-and line endings are LF.  The scan subcommand evaluates its grid cells one
-after another in grid order.
+and line endings are LF.  The scan subcommand classifies its grid cells in
+grid order, then simulates the cells that need it in one lockstep batch
+(solver.simulate_batch); the rows keep grid order.
 
 Exit codes: 0 = completed (a *detected* blow-up is a successful outcome),
 2 = invalid configuration or parameters, 3 = numerical failure.
@@ -169,12 +170,16 @@ def _axis_values(axis) -> list[float]:
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def _scan_cell(spec: ScanSpec, v1: float, v2: float) -> tuple[str, str, str]:
+def _scan_cell(
+    spec: ScanSpec, v1: float, v2: float
+) -> tuple[regimes.RegimeVerdict, solver.SimConfig | None]:
+    """Classify one cell; also return its simulation config when the scan
+    simulates it."""
     params = dataclasses.replace(
         spec.base, **{spec.axis1[0]: v1, spec.axis2[0]: v2}
     )
     verdict = regimes.classify(params)
-    blew = ""
+    cfg = None
     if (
         spec.mode == "ClassifyAndSimulate"
         and verdict.conclusion == "BlowsUpForNegativeEnergy"
@@ -190,9 +195,7 @@ def _scan_cell(spec: ScanSpec, v1: float, v2: float) -> tuple[str, str, str]:
             initial_mode="auto_negative_energy",
             initial_margin=1.0,
         )
-        _, rep = solver.simulate(cfg)
-        blew = "true" if rep.blew_up else "false"
-    return verdict.conclusion, verdict.fired, blew
+    return verdict, cfg
 
 
 def run_scan(spec: ScanSpec, out_path: str | Path) -> Path:
@@ -201,16 +204,17 @@ def run_scan(spec: ScanSpec, out_path: str | Path) -> Path:
     vals2 = _axis_values(spec.axis2)
     cells = [(v1, v2) for v1 in vals1 for v2 in vals2]
     results = [_scan_cell(spec, v1, v2) for v1, v2 in cells]
+    runs = iter(solver.simulate_batch([cfg for _, cfg in results if cfg is not None]))
 
     header = [spec.axis1[0], spec.axis2[0], "verdict", "fired"]
     simulating = spec.mode == "ClassifyAndSimulate"
     if simulating:
         header.append("blew_up")
     lines = [",".join(header)]
-    for (v1, v2), (conclusion, fired, blew) in zip(cells, results):
-        row = [fmt_csv_float(v1), fmt_csv_float(v2), conclusion, fired]
+    for (v1, v2), (verdict, cfg) in zip(cells, results):
+        row = [fmt_csv_float(v1), fmt_csv_float(v2), verdict.conclusion, verdict.fired]
         if simulating:
-            row.append(blew)
+            row.append("" if cfg is None else "true" if next(runs)[1].blew_up else "false")
         lines.append(",".join(row))
     out_path = Path(out_path)
     out_path.write_text("\n".join(lines) + "\n")

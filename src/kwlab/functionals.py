@@ -24,7 +24,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import AnnulusMesh, integrate_boundary, integrate_interior
-from .model import ModelParams, damping_P, damping_Q
+from .model import ModelParams, abs_power, damping_P, damping_Q
 
 __all__ = [
     "State",
@@ -117,20 +117,23 @@ def _phase_parts(mesh: AnnulusMesh, state: State) -> tuple[float, float, float, 
 
     The squared phase norm adds the free-circle trace ∫_circle u^2 to the
     kinetic and gradient parts; it is what the PhaseNorm monitor watches.
+    A stack of cells gives one value of each per cell.
     """
     u, v = state.u, state.v
     grad_omega, grad_gamma = geometry.gradient_energy(mesh, u)
-    kin = integrate_interior(mesh, v**2) + integrate_boundary(mesh, v[-1] ** 2)
-    trace_sq = integrate_boundary(mesh, u[-1] ** 2)
+    kin = integrate_interior(mesh, v**2) + integrate_boundary(mesh, v[..., -1, :] ** 2)
+    trace_sq = integrate_boundary(mesh, u[..., -1, :] ** 2)
     return kin, grad_omega, grad_gamma, kin + grad_omega + grad_gamma + trace_sq
 
 
 def _source_norms(mesh: AnnulusMesh, u: np.ndarray, params: ModelParams) -> tuple[float, float]:
     """(∫|u|^p, ∫_circle |u|^q): the source norms read by J and by the
-    LpNorm monitor."""
+    LpNorm monitor.  The free-circle row keeps its row axis while the
+    exponent acts on it, so per-cell exponents, shaped (n_cells, 1, 1),
+    broadcast over a stack."""
     return (
-        integrate_interior(mesh, np.abs(u) ** params.p),
-        integrate_boundary(mesh, np.abs(u[-1]) ** params.q),
+        integrate_interior(mesh, abs_power(u, params.p)),
+        integrate_boundary(mesh, abs_power(u[..., -1:, :], params.q)[..., 0, :]),
     )
 
 

@@ -11,6 +11,11 @@ periodic in theta (n_theta nodes).  Interior fields are (n_r, n_theta) arrays
 with row 0 on the pinned circle and row n_r-1 on the free circle; boundary
 traces are (n_theta,) arrays.
 
+Every operator and quadrature also takes a stack of fields with a leading
+cell axis, (n_cells, n_r, n_theta) or (n_cells, n_theta), and treats each
+cell on its own: a quadrature then returns one value per cell, and each
+value is bitwise the one the cell's own 2-D field gives.
+
 The interior Laplacian is assembled in conservative flux form,
 
     (1/r) d/dr (r du/dr)  ->  [ r_{i+1/2}(u_{i+1}-u_i) - r_{i-1/2}(u_i-u_{i-1}) ] / (r_i dr^2),
@@ -137,7 +142,7 @@ def build_annulus(r_inner: float, r_outer: float, n_r: int, n_theta: int) -> Ann
 
 def _check_interior(mesh: AnnulusMesh, u: np.ndarray, name: str = "field"):
     u = np.asarray(u, dtype=float)
-    if u.shape != (mesh.n_r, mesh.n_theta):
+    if u.shape[-2:] != (mesh.n_r, mesh.n_theta) or u.ndim > 3:
         raise ValueError(
             f"{name} shape {u.shape} does not match mesh "
             f"({mesh.n_r}, {mesh.n_theta})"
@@ -147,23 +152,28 @@ def _check_interior(mesh: AnnulusMesh, u: np.ndarray, name: str = "field"):
 
 def _check_boundary(mesh: AnnulusMesh, v: np.ndarray, name: str = "trace"):
     v = np.asarray(v, dtype=float)
-    if v.shape != (mesh.n_theta,):
+    if v.shape[-1:] != (mesh.n_theta,) or v.ndim > 2:
         raise ValueError(
             f"{name} shape {v.shape} does not match mesh ({mesh.n_theta},)"
         )
     return v
 
 
+def _per_cell(total):
+    """A float for a single field; one value per cell for a stack."""
+    return float(total) if total.ndim == 0 else total
+
+
 def integrate_interior(mesh: AnnulusMesh, f: np.ndarray) -> float:
     """Quadrature of an interior field over the annulus."""
     f = _check_interior(mesh, f)
-    return float((f * mesh.interior_weights).sum())
+    return _per_cell((f * mesh.interior_weights).sum(axis=(-2, -1)))
 
 
 def integrate_boundary(mesh: AnnulusMesh, g: np.ndarray) -> float:
     """Quadrature of a trace over the free (outer) circle."""
     g = _check_boundary(mesh, g)
-    return float((g * mesh.boundary_weights).sum())
+    return _per_cell((g * mesh.boundary_weights).sum(axis=-1))
 
 
 def laplacian(mesh: AnnulusMesh, u: np.ndarray) -> np.ndarray:
@@ -175,12 +185,14 @@ def laplacian(mesh: AnnulusMesh, u: np.ndarray) -> np.ndarray:
     """
     u = _check_interior(mesh, u)
     out = np.empty_like(u)
-    out[0] = out[-1] = 0.0
-    flux = mesh.r_half[:, None] * (u[1:] - u[:-1]) / mesh.dr  # r_{i+1/2} du/dr
-    out[1:-1] = (flux[1:] - flux[:-1]) / mesh._radial_den
-    ui = u[1:-1]
-    wrapped = np.concatenate((ui[:, -1:], ui, ui[:, :1]), axis=1)  # periodic in theta
-    out[1:-1] += (wrapped[:, 2:] - 2.0 * ui + wrapped[:, :-2]) / mesh._angular_den
+    out[..., 0, :] = out[..., -1, :] = 0.0
+    # r_{i+1/2} du/dr
+    flux = mesh.r_half[:, None] * (u[..., 1:, :] - u[..., :-1, :]) / mesh.dr
+    inner = out[..., 1:-1, :]
+    inner[...] = (flux[..., 1:, :] - flux[..., :-1, :]) / mesh._radial_den
+    ui = u[..., 1:-1, :]
+    wrapped = np.concatenate((ui[..., -1:], ui, ui[..., :1]), axis=-1)  # periodic in theta
+    inner += (wrapped[..., 2:] - 2.0 * ui + wrapped[..., :-2]) / mesh._angular_den
     return out
 
 
@@ -192,8 +204,8 @@ def laplace_beltrami(mesh: AnnulusMesh, v: np.ndarray) -> np.ndarray:
     error).
     """
     v = _check_boundary(mesh, v)
-    wrapped = np.concatenate((v[-1:], v, v[:1]))
-    return (wrapped[2:] - 2.0 * v + wrapped[:-2]) / mesh._circle_den
+    wrapped = np.concatenate((v[..., -1:], v, v[..., :1]), axis=-1)
+    return (wrapped[..., 2:] - 2.0 * v + wrapped[..., :-2]) / mesh._circle_den
 
 
 def boundary_flux(mesh: AnnulusMesh, u: np.ndarray) -> np.ndarray:
@@ -205,7 +217,7 @@ def boundary_flux(mesh: AnnulusMesh, u: np.ndarray) -> np.ndarray:
     derivative, but the energetically consistent choice.
     """
     u = _check_interior(mesh, u)
-    return mesh.r_half[-1] * (u[-1] - u[-2]) / (mesh.r_outer * mesh.dr)
+    return mesh.r_half[-1] * (u[..., -1, :] - u[..., -2, :]) / (mesh.r_outer * mesh.dr)
 
 
 def gradient_energy(mesh: AnnulusMesh, u: np.ndarray) -> tuple[float, float]:
@@ -220,11 +232,11 @@ def gradient_energy(mesh: AnnulusMesh, u: np.ndarray) -> tuple[float, float]:
     """
     u = _check_interior(mesh, u)
     dr, dth = mesh.dr, mesh.dtheta
-    du_r = (u[1:] - u[:-1]) / dr
-    radial = float((mesh.r_half[:, None] * du_r**2).sum() * dr * dth)
+    du_r = (u[..., 1:, :] - u[..., :-1, :]) / dr
+    radial = (mesh.r_half[:, None] * du_r**2).sum(axis=(-2, -1)) * dr * dth
     du_th = np.empty_like(u)  # u_{i,j+1} - u_{i,j}, periodic in j
-    np.subtract(u[:, 1:], u[:, :-1], out=du_th[:, :-1])
-    np.subtract(u[:, 0], u[:, -1], out=du_th[:, -1])
-    angular = float((mesh._angular_form_weights * (du_th**2).sum(axis=1)).sum())
-    circle = float((du_th[-1] ** 2).sum() / (mesh.r_outer * dth))
-    return radial + angular, circle
+    np.subtract(u[..., 1:], u[..., :-1], out=du_th[..., :-1])
+    np.subtract(u[..., 0], u[..., -1], out=du_th[..., -1])
+    angular = (mesh._angular_form_weights * (du_th**2).sum(axis=-1)).sum(axis=-1)
+    circle = (du_th[..., -1, :] ** 2).sum(axis=-1) / (mesh.r_outer * dth)
+    return _per_cell(radial) + _per_cell(angular), _per_cell(circle)

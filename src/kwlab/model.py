@@ -89,13 +89,46 @@ class ModelParams:
         return tuple(f.name for f in fields(cls))
 
 
+def differs(x, value) -> bool:
+    """x != value, for a parameter held as a float or as one value per cell.
+
+    A stack of cells holds a parameter as an array only where its cells
+    disagree on it, so an array differs from any single value; the cells of
+    a stack agree on which weights are zero, so an array weight is nonzero
+    in every cell.
+    """
+    return isinstance(x, np.ndarray) or x != value
+
+
+# NumPy's ** evaluates these scalar exponents by reciprocal, ones, sqrt,
+# positive and square, which can differ from pow in the last bit
+_SHORTCUT_EXPONENTS = (-1.0, 0.0, 0.5, 1.0, 2.0)
+
+
+def abs_power(v, s):
+    """|v|**s, for s a float or one exponent per cell of a stack.
+
+    A cell whose exponent NumPy takes by a shortcut is raised on its own with
+    a float exponent, so each cell's bits are those of its own field.
+    """
+    out = np.abs(v) ** s
+    if isinstance(s, np.ndarray):
+        for i, s_cell in enumerate(s.flat):
+            if s_cell in _SHORTCUT_EXPONENTS:
+                out[i] = np.abs(v[i]) ** float(s_cell)
+    return out
+
+
 def _odd_power(v, e: float):
-    """|v|^(e-2) * v with the continuous extension 0 at v=0 (valid for e>1)."""
+    """|v|^(e-2) * v with the continuous extension 0 at v=0 (valid for e>1).
+
+    An exponent array (one value per cell) always takes the general formula.
+    """
     v = np.asarray(v, dtype=float)
-    if e == 2.0:
+    if not differs(e, 2.0):
         out = v + 0.0  # sign(v)*|v|**1.0 exactly, including -0.0 -> +0.0
     else:
-        out = np.sign(v) * np.abs(v) ** (e - 1.0)
+        out = np.sign(v) * abs_power(v, e - 1.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -105,7 +138,7 @@ def _odd_power_prime(v, e: float):
     """(e-1)|v|^(e-2), the derivative of _odd_power; inf at v=0 when e<2."""
     v = np.asarray(v, dtype=float)
     with np.errstate(divide="ignore"):
-        out = (e - 1.0) * np.abs(v) ** (e - 2.0)
+        out = (e - 1.0) * abs_power(v, e - 2.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -113,54 +146,54 @@ def _odd_power_prime(v, e: float):
 
 def damping_P(params: ModelParams, v):
     """Interior damping alpha*(a|v|^{m_tilde-2}v + |v|^{m-2}v); odd, nondecreasing."""
-    if params.alpha == 0.0:
+    if not differs(params.alpha, 0.0):
         return np.zeros_like(np.asarray(v, dtype=float)) if np.ndim(v) else 0.0
     out = _odd_power(v, params.m)
-    if params.a != 0.0:
+    if differs(params.a, 0.0):
         out = out + params.a * _odd_power(v, params.m_tilde)
     return params.alpha * out
 
 
 def damping_Q(params: ModelParams, v):
     """Boundary damping beta*(b|v|^{mu_tilde-2}v + |v|^{mu-2}v)."""
-    if params.beta == 0.0:
+    if not differs(params.beta, 0.0):
         return np.zeros_like(np.asarray(v, dtype=float)) if np.ndim(v) else 0.0
     out = _odd_power(v, params.mu)
-    if params.b != 0.0:
+    if differs(params.b, 0.0):
         out = out + params.b * _odd_power(v, params.mu_tilde)
     return params.beta * out
 
 
 def damping_P_prime(params: ModelParams, v):
     """dP/dv = alpha*(a(m_tilde-1)|v|^{m_tilde-2} + (m-1)|v|^{m-2}) >= 0."""
-    if params.alpha == 0.0:
+    if not differs(params.alpha, 0.0):
         return np.zeros_like(np.asarray(v, dtype=float)) if np.ndim(v) else 0.0
     out = _odd_power_prime(v, params.m)
-    if params.a != 0.0:
+    if differs(params.a, 0.0):
         out = out + params.a * _odd_power_prime(v, params.m_tilde)
     return params.alpha * out
 
 
 def damping_Q_prime(params: ModelParams, v):
     """dQ/dv = beta*(b(mu_tilde-1)|v|^{mu_tilde-2} + (mu-1)|v|^{mu-2}) >= 0."""
-    if params.beta == 0.0:
+    if not differs(params.beta, 0.0):
         return np.zeros_like(np.asarray(v, dtype=float)) if np.ndim(v) else 0.0
     out = _odd_power_prime(v, params.mu)
-    if params.b != 0.0:
+    if differs(params.b, 0.0):
         out = out + params.b * _odd_power_prime(v, params.mu_tilde)
     return params.beta * out
 
 
 def source_f(params: ModelParams, u):
     """Interior source gamma * |u|^{p-2} u."""
-    if params.gamma == 0.0:
+    if not differs(params.gamma, 0.0):
         return np.zeros_like(np.asarray(u, dtype=float)) if np.ndim(u) else 0.0
     return params.gamma * _odd_power(u, params.p)
 
 
 def source_g(params: ModelParams, u):
     """Boundary source delta * |u|^{q-2} u."""
-    if params.delta == 0.0:
+    if not differs(params.delta, 0.0):
         return np.zeros_like(np.asarray(u, dtype=float)) if np.ndim(u) else 0.0
     return params.delta * _odd_power(u, params.q)
 

@@ -30,6 +30,7 @@ number of threads.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,9 +65,12 @@ class CriticalExponents:
     r_gamma: float  # critical exponent of H^1(boundary); inf when N <= 3
 
 
+@functools.lru_cache(maxsize=64)
 def critical_exponents(N) -> CriticalExponents:
     """2N/(N-2) and 2(N-1)/(N-3), with the dimensions where the embedding
-    is into every L^rho mapped to +inf (so all comparisons are vacuous)."""
+    is into every L^rho mapped to +inf (so all comparisons are vacuous).
+
+    Cached by N; the record is frozen, so callers share one instance."""
     if N != int(N):
         raise ValueError(f"N must be an integer >= 2, got {N}")
     N = int(N)

@@ -35,12 +35,28 @@ Blow-up detection: after each step the phase norm and the source norms are
 checked against the threshold; a crossing rolls the step back and halves dt,
 and is accepted as a detection only once dt has been driven to dt_min, so the
 reported bracket has width <= dt_min.  A step failure at the floor is flagged
-separately (DtFloor) rather than silently treated as a crossing.
+separately (DtFloor) rather than silently treated as a crossing.  Initial
+data that already crosses the monitors is an error.
+
+Stacks: the kernels (_accel, _solve_damped_kick, step, _crossing and the
+geometry operators under them) also take a stack of cells, arrays of shape
+(n_cells, n_r, n_theta) with a leading cell axis.  dt, t and the threshold
+then hold one value per cell, and a parameter on which the cells differ is
+an (n_cells, 1, 1) array; a 2-D input is computed exactly as before.
+simulate_batch steps the cells that share a mesh and their kernel branches
+(which weights are zero, whether the kick has a closed form) as one stack in
+lockstep.  Each cell keeps its own dt, clean streak and step count; a
+rollback is a masked where over the cell axis, and a cell that finishes
+(blow-up detected, DtFloor, or t_end) is retired: its rows are compacted out
+of the arrays.  No operation mixes cells, and an exponent NumPy takes by a
+shortcut is applied cell by cell (model.abs_power), so each cell's result is
+bitwise the one it gets alone; simulate is the batch of one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -53,6 +69,7 @@ from .model import (
     damping_P_prime,
     damping_Q,
     damping_Q_prime,
+    differs,
     source_f,
     source_g,
 )
@@ -67,13 +84,22 @@ __all__ = [
     "initial_state",
     "step",
     "simulate",
+    "simulate_batch",
 ]
 
 PROFILES = ("ramp", "sine", "bump")
 
 
 class StepFailure(RuntimeError):
-    """The pointwise damping solve failed to converge; retry with smaller dt."""
+    """The pointwise damping solve failed to converge; retry with smaller dt.
+
+    For a stack of cells, `cells` marks the cells that failed (one bool per
+    cell); it is None for a single cell.
+    """
+
+    def __init__(self, message: str, cells: np.ndarray | None = None):
+        super().__init__(message)
+        self.cells = cells
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +205,22 @@ def _accel(mesh: AnnulusMesh, u: np.ndarray, params: ModelParams) -> np.ndarray:
     outermost half cell and the row mass is r dtheta (1 + dr/2).
     """
     acc = geometry.laplacian(mesh, u)
-    if params.gamma != 0.0:
+    if differs(params.gamma, 0.0):
         f_u = source_f(params, u)
-        acc[1:-1] += f_u[1:-1]
-        f_last = f_u[-1]
+        acc[..., 1:-1, :] += f_u[..., 1:-1, :]
+        f_last = f_u[..., -1, :]
     else:
         f_last = 0.0
     half = 0.5 * mesh.dr
     boundary = -geometry.boundary_flux(mesh, u) + half * f_last
-    if params.delta != 0.0:
-        boundary += source_g(params, u[-1])
-    acc[-1] = boundary / (1.0 + half) + geometry.laplace_beltrami(mesh, u[-1])
-    acc[0] = 0.0
+    if differs(params.delta, 0.0):
+        # the row keeps its axis while per-cell parameters, shaped
+        # (n_cells, 1, 1), act on it
+        boundary += source_g(params, u[..., -1:, :])[..., 0, :]
+    acc[..., -1, :] = boundary / (1.0 + half) + geometry.laplace_beltrami(
+        mesh, u[..., -1, :]
+    )
+    acc[..., 0, :] = 0.0
     return acc
 
 
@@ -198,28 +228,32 @@ def _mix_free_row(mesh: AnnulusMesh, d: np.ndarray, q_last) -> np.ndarray:
     """Overwrite d's free-circle row with the mass-scaled mix
     ((dr/2) d + q_last) / (1 + dr/2); q_last is None when Q is switched off."""
     half = 0.5 * mesh.dr
-    d_last = half * d[-1]
+    d_last = half * d[..., -1, :]
     if q_last is not None:
         d_last = d_last + q_last
-    d[-1] = d_last / (1.0 + half)
+    d[..., -1, :] = d_last / (1.0 + half)
     return d
 
 
 def _damping_accel(mesh: AnnulusMesh, v: np.ndarray, params: ModelParams) -> np.ndarray:
     """Damping acceleration D(v): P(v) at interior rows, the mass-scaled mix
     ((dr/2) P(v) + Q(v)) / (1 + dr/2) on the free-circle row."""
-    q_last = damping_Q(params, v[-1]) if params.beta != 0.0 else None
+    q_last = (
+        damping_Q(params, v[..., -1:, :])[..., 0, :] if differs(params.beta, 0.0) else None
+    )
     return _mix_free_row(mesh, damping_P(params, v), q_last)
 
 
 def _damping_linear_coeffs(mesh: AnnulusMesh, params: ModelParams):
     """(c_interior, c_boundary_row) when D is linear, else None."""
-    if params.alpha != 0.0 and (
-        params.m != 2.0 or (params.a != 0.0 and params.m_tilde != 2.0)
+    if differs(params.alpha, 0.0) and (
+        differs(params.m, 2.0)
+        or (differs(params.a, 0.0) and differs(params.m_tilde, 2.0))
     ):
         return None
-    if params.beta != 0.0 and (
-        params.mu != 2.0 or (params.b != 0.0 and params.mu_tilde != 2.0)
+    if differs(params.beta, 0.0) and (
+        differs(params.mu, 2.0)
+        or (differs(params.b, 0.0) and differs(params.mu_tilde, 2.0))
     ):
         return None
     c_int = params.alpha * (1.0 + params.a)
@@ -231,7 +265,11 @@ def _damping_linear_coeffs(mesh: AnnulusMesh, params: ModelParams):
 def _damping_derivative(mesh: AnnulusMesh, v: np.ndarray, params: ModelParams) -> np.ndarray:
     """dD/dv, for the Newton iteration; may be inf at v = 0 when an exponent
     is below 2 (the safeguard handles it)."""
-    q_last = damping_Q_prime(params, v[-1]) if params.beta != 0.0 else None
+    q_last = (
+        damping_Q_prime(params, v[..., -1:, :])[..., 0, :]
+        if differs(params.beta, 0.0)
+        else None
+    )
     return _mix_free_row(mesh, damping_P_prime(params, v), q_last)
 
 
@@ -243,15 +281,16 @@ def _solve_damped_kick(
     D is odd and nondecreasing, so the root is unique and lies between 0 and
     b componentwise.  Newton from x = b with a bisection safeguard; closed
     form when D is linear.  Converged entries are frozen: each sits on an
-    end of its own bracket, so the bracket test would bisect it away.
+    end of its own bracket, so the bracket test would bisect it away, and
+    because they stay put no cell of a stack depends on another.
     """
-    if params.alpha == 0.0 and params.beta == 0.0:
+    if not (differs(params.alpha, 0.0) or differs(params.beta, 0.0)):
         return b.copy()
     lin = _damping_linear_coeffs(mesh, params)
     if lin is not None:
         c_int, c_bnd = lin
         x = b / (1.0 + kappa * c_int)
-        x[-1] = b[-1] / (1.0 + kappa * c_bnd)
+        x[..., -1:, :] = b[..., -1:, :] / (1.0 + kappa * c_bnd)
         return x
 
     lo = np.minimum(b, 0.0)
@@ -277,7 +316,8 @@ def _solve_damped_kick(
         return x
     raise StepFailure(
         f"damping solve did not converge: {np.count_nonzero(unconverged)} of "
-        f"{resid.size} entries above tolerance, worst residual {np.max(resid):.3e}"
+        f"{resid.size} entries above tolerance, worst residual {np.max(resid):.3e}",
+        cells=unconverged.any(axis=(-2, -1)) if unconverged.ndim == 3 else None,
     )
 
 
@@ -292,23 +332,30 @@ def step(
 
     s_u is S(state.u) if the caller already has it, else None.  Returns a
     fresh State and S of its u, which the next step can take as its s_u.
-    Neither s_u nor the state is modified.
+    Neither s_u nor the state is modified.  On a stack of cells, dt and
+    state.t hold one value per cell.
     """
-    if not dt > 0:
+    if isinstance(dt, np.ndarray):
+        valid = (dt > 0).all()
+        dt_grid = dt[:, None, None]  # broadcasts over each cell's grid
+    else:
+        valid = dt > 0
+        dt_grid = dt
+    if not valid:
         raise ValueError(f"dt must be positive, got {dt}")
-    kappa = 0.5 * dt
+    kappa = 0.5 * dt_grid
     if s_u is None:
         s_u = _accel(mesh, state.u, params)
     b = state.v + kappa * s_u
-    b[0] = 0.0
+    b[..., 0, :] = 0.0
     v_half = _solve_damped_kick(mesh, b, kappa, params)
-    u_new = state.u + dt * v_half
-    u_new[0] = 0.0
+    u_new = state.u + dt_grid * v_half
+    u_new[..., 0, :] = 0.0
     s_new = _accel(mesh, u_new, params)
     v_new = v_half + kappa * s_new
-    if params.alpha != 0.0 or params.beta != 0.0:
+    if differs(params.alpha, 0.0) or differs(params.beta, 0.0):
         v_new = v_new - kappa * _damping_accel(mesh, v_half, params)
-    v_new[0] = 0.0
+    v_new[..., 0, :] = 0.0
     return State(u=u_new, v=v_new, t=state.t + dt), s_new
 
 
@@ -368,8 +415,14 @@ class SimConfig:
             raise ValueError(
                 f"blow_threshold must be positive and finite, got {self.blow_threshold}"
             )
-        if self.report_every < 1:
-            raise ValueError(f"report_every must be >= 1, got {self.report_every}")
+        every = self.report_every
+        if isinstance(every, bool) or not float(every).is_integer():
+            raise ValueError(f"report_every must be an integer, got {every!r}")
+        if every < 1:
+            raise ValueError(f"report_every must be >= 1, got {every}")
+        self.report_every = int(every)
+        if not math.isfinite(self.initial_scale):
+            raise ValueError(f"initial scale must be finite, got {self.initial_scale}")
         if self.initial_profile not in PROFILES:
             raise ValueError(
                 f"unknown profile {self.initial_profile!r}; choose from {PROFILES}"
@@ -439,14 +492,225 @@ class BlowupReport:
 def _crossing(
     mesh: AnnulusMesh, state: State, params: ModelParams, threshold: float
 ) -> str | None:
-    """Name of the triggered monitor, or None.  Non-finite counts as crossed."""
-    phase_sq = functionals._phase_parts(mesh, state)[3]
-    if not phase_sq < threshold * threshold:
-        return "PhaseNorm"
-    lp, lq = functionals._source_norms(mesh, state.u, params)
-    if not lp + lq < threshold:
-        return "LpNorm"
-    return None
+    """Name of the triggered monitor, or None.  Non-finite counts as crossed.
+
+    On a stack of cells, with one threshold per cell: None when no cell
+    crossed, else an object array holding each cell's name or None.
+    """
+    calm = functionals._phase_parts(mesh, state)[3] < threshold * threshold
+    lp_calm = True
+    if calm.any() if isinstance(calm, np.ndarray) else calm:
+        lp, lq = functionals._source_norms(mesh, state.u, params)
+        lp_calm = lp + lq < threshold
+    quiet = calm & lp_calm
+    if quiet.all() if isinstance(quiet, np.ndarray) else quiet:
+        return None
+    hit = np.where(calm, np.where(lp_calm, None, "LpNorm"), "PhaseNorm")
+    return hit[()] if hit.ndim == 0 else hit
+
+
+def _branches(mesh: AnnulusMesh, params: ModelParams) -> tuple:
+    """The kernel branches a cell takes: which weights are zero, and whether
+    the damping kick has a closed form.  Cells that agree on them (and on
+    the mesh) step as one stack."""
+    weights = (params.alpha, params.beta, params.gamma, params.delta, params.a, params.b)
+    return tuple(w != 0.0 for w in weights), _damping_linear_coeffs(mesh, params) is None
+
+
+def _stack_params(records: list[ModelParams]) -> SimpleNamespace:
+    """One parameter record for a stack: each field a single value where the
+    cells agree on it, else one value per cell shaped (n_cells, 1, 1)."""
+    fields = {}
+    for name in ModelParams.field_names():
+        values = [getattr(par, name) for par in records]
+        same = all(x == values[0] for x in values)
+        fields[name] = values[0] if same else np.array(values, dtype=float)[:, None, None]
+    return SimpleNamespace(**fields)
+
+
+@dataclass(slots=True)
+class _Cell:
+    """The run of one cell of a stack: what simulate keeps besides the
+    cell's rows of the stack's arrays."""
+
+    cfg: SimConfig
+    lyap: functionals.LyapunovConfig | None
+    reports: list[EnergyReport]
+    t: float
+    dt: float
+    accepted: int = 0
+    streak: int = 0  # accepted steps since dt last changed
+    result: tuple[list[EnergyReport], BlowupReport] | None = None
+
+    def accept(self, mesh: AnnulusMesh, state: State) -> None:
+        """Count an accepted step that ended at `state`; report it when due."""
+        self.t = state.t
+        self.accepted += 1
+        self.streak += 1
+        if self.streak >= 64 and self.dt < self.cfg.dt:
+            self.dt = min(2.0 * self.dt, self.cfg.dt)
+            self.streak = 0
+        if self.accepted % self.cfg.report_every == 0:
+            self.reports.append(
+                make_report(mesh, state, self.cfg.params, self.lyap, prev=self.reports[-1])
+            )
+
+    def reject(self) -> bool:
+        """Roll back a rejected step; True when dt is already at the floor,
+        which ends the run."""
+        if self.dt <= self.cfg.dt_min:
+            return True
+        self.dt = max(0.5 * self.dt, self.cfg.dt_min)
+        self.streak = 0
+        return False
+
+    def finish(self, mesh: AnnulusMesh, final: State, trigger: str, bracket) -> None:
+        """End the run at `final`; `bracket` is None unless it blew up."""
+        reports = self.reports
+        if reports[-1].t != final.t:
+            reports.append(
+                make_report(mesh, final, self.cfg.params, self.lyap, prev=reports[-1])
+            )
+        self.result = reports, BlowupReport(
+            blew_up=bracket is not None,
+            t_detect=None if bracket is None else bracket[1],
+            t_bracket=bracket,
+            trigger=trigger,
+            final_report=reports[-1],
+            steps=self.accepted,
+            dt_final=self.dt,
+        )
+
+
+def _cell_values(values: list, one: bool):
+    """Per-cell scalars as the kernels take them: the value itself for a
+    stack of one, else an array."""
+    return values[0] if one else np.array(values)
+
+
+def _row(x: np.ndarray, i: int) -> np.ndarray:
+    """Cell i's field of a stack's array (a stack of one holds a 2-D array)."""
+    return x if x.ndim == 2 else x[i]
+
+
+def _run_stack(
+    mesh: AnnulusMesh, cfgs: list[SimConfig], states: list[State]
+) -> list[tuple[list[EnergyReport], BlowupReport]]:
+    """Step cells that share a mesh and their kernel branches in lockstep.
+
+    The stack's arrays hold one row per live cell; each cell keeps its own
+    dt, clean streak and step count.  A crossing or a failed damping solve
+    rolls back only the cells it hit (a masked where), and the cells a
+    failed solve spared retry the same step.  A finished cell leaves the
+    arrays.  A stack of one runs on its cell's own 2-D arrays with a scalar
+    dt: numpy then combines them with the mesh's arrays without
+    broadcasting, which a one-row stack would pay for on every operation.
+    """
+    cells = []
+    for cfg, st in zip(cfgs, states):
+        try:
+            lyap = functionals.default_k(cfg.params)
+        except ValueError:
+            lyap = None
+        report = make_report(mesh, st, cfg.params, lyap)
+        cells.append(_Cell(cfg, lyap, [report], t=st.t, dt=cfg.dt))
+    one = len(cells) == 1
+    u = np.stack([st.u for st in states])
+    v = np.stack([st.v for st in states])
+    if one:
+        u, v = u[0], v[0]
+    params = _stack_params([cfg.params for cfg in cfgs])
+    threshold = _cell_values([cfg.blow_threshold for cfg in cfgs], one)
+    hit = _crossing(mesh, State(u, v), params, threshold)
+    if hit is not None:
+        hits = [hit] if one else list(hit)
+        j = next(j for j, name in enumerate(hits) if name is not None)
+        raise ValueError(
+            f"initial data already crosses the {hits[j]} monitor "
+            f"(blow_threshold={cfgs[j].blow_threshold})"
+        )
+    s_u = _accel(mesh, u, params)
+
+    live = cells
+    while True:
+        for i, c in enumerate(live):
+            if c.result is None and not c.t < c.cfg.t_end - 1e-12 * c.cfg.t_end:
+                c.finish(mesh, State(_row(u, i), _row(v, i), c.t), "None", None)
+        if any(c.result is not None for c in live):
+            keep = [c.result is None for c in live]
+            live = [c for c in live if c.result is None]
+            if not live:
+                return [c.result for c in cells]
+            u, v, s_u = u[keep], v[keep], s_u[keep]
+            one = len(live) == 1
+            if one:
+                u, v, s_u = u[0], v[0], s_u[0]
+            params = _stack_params([c.cfg.params for c in live])
+            threshold = _cell_values([c.cfg.blow_threshold for c in live], one)
+        dt_step = [min(c.dt, c.cfg.t_end - c.t) for c in live]
+        state = State(u, v, _cell_values([c.t for c in live], one))
+        try:
+            cand, s_cand = step(mesh, state, params, _cell_values(dt_step, one), s_u)
+        except StepFailure as exc:
+            for i in [0] if one else np.flatnonzero(exc.cells):
+                c = live[i]
+                if c.reject():
+                    bracket = (c.t, c.t + dt_step[i])
+                    c.finish(mesh, State(_row(u, i), _row(v, i), c.t), "DtFloor", bracket)
+            continue  # the cells the failed solve spared retry the same step
+        hit = _crossing(mesh, cand, params, threshold)
+        hits = [None] * len(live) if hit is None else [hit] if one else hit
+        t_new = [cand.t] if one else cand.t.tolist()
+        for i, c in enumerate(live):
+            new = State(_row(cand.u, i), _row(cand.v, i), t_new[i])
+            if hits[i] is None:
+                c.accept(mesh, new)
+            elif c.reject():
+                # the detected state itself is the final report, so the
+                # over-threshold norms at t_detect are visible downstream
+                c.finish(mesh, new, hits[i], (c.t, new.t))
+        if hit is None:
+            u, v, s_u = cand.u, cand.v, s_cand
+        else:
+            accept = np.equal(hit, None)
+            if accept.any():
+                grid = accept[:, None, None]
+                u = np.where(grid, cand.u, u)
+                v = np.where(grid, cand.v, v)
+                s_u = np.where(grid, s_cand, s_u)
+
+
+def simulate_batch(
+    cfgs: list[SimConfig], initials: list[State | None] | None = None
+) -> list[tuple[list[EnergyReport], BlowupReport]]:
+    """Run several configurations; returns simulate's result for each, in order.
+
+    Cells that share a mesh and their kernel branches step together as one
+    stack (see _run_stack); each cell's result is bitwise the one simulate
+    gives it alone.  `initials` overrides the configured initial data cell by
+    cell (None keeps it).  Raises ValueError when an initial state already
+    crosses the blow-up monitors.
+    """
+    cfgs = list(cfgs)
+    initials = [None] * len(cfgs) if initials is None else list(initials)
+    if len(initials) != len(cfgs):
+        raise ValueError(f"{len(initials)} initial states for {len(cfgs)} configs")
+    meshes, states, stacks = {}, [], {}
+    for i, (cfg, initial) in enumerate(zip(cfgs, initials)):
+        shape = (cfg.r_inner, cfg.r_outer, cfg.n_r, cfg.n_theta)
+        if shape not in meshes:
+            meshes[shape] = build_annulus(*shape)
+        mesh = meshes[shape]
+        states.append(initial if initial is not None else initial_state(mesh, cfg.params, cfg))
+        stacks.setdefault((shape, _branches(mesh, cfg.params)), []).append(i)
+    results = [None] * len(cfgs)
+    for (shape, _), members in stacks.items():
+        outcomes = _run_stack(
+            meshes[shape], [cfgs[i] for i in members], [states[i] for i in members]
+        )
+        for i, outcome in zip(members, outcomes):
+            results[i] = outcome
+    return results
 
 
 def simulate(
@@ -457,70 +721,4 @@ def simulate(
     `initial` overrides the configured initial data (same mesh shape
     required); used to evolve one data set under several parameter records.
     """
-    mesh = build_annulus(cfg.r_inner, cfg.r_outer, cfg.n_r, cfg.n_theta)
-    params = cfg.params
-    state = initial.copy() if initial is not None else initial_state(mesh, params, cfg)
-    try:
-        lyap = functionals.default_k(params)
-    except ValueError:
-        lyap = None
-
-    reports = [make_report(mesh, state, params, lyap)]
-    s_u = _accel(mesh, state.u, params)
-    dt0 = cfg.dt
-    dt = dt0
-    accepted = 0
-    clean_streak = 0
-    blew_up = False
-    trigger = "None"
-    bracket = None
-    eps = 1e-12 * cfg.t_end
-
-    while state.t < cfg.t_end - eps:
-        dt_step = min(dt, cfg.t_end - state.t)
-        try:
-            candidate, s_candidate = step(mesh, state, params, dt_step, s_u)
-        except StepFailure:
-            if dt <= cfg.dt_min:
-                blew_up = True
-                trigger = "DtFloor"
-                bracket = (state.t, state.t + dt_step)
-                break
-            dt = max(0.5 * dt, cfg.dt_min)
-            clean_streak = 0
-            continue
-        hit = _crossing(mesh, candidate, params, cfg.blow_threshold)
-        if hit is not None:
-            if dt <= cfg.dt_min:
-                blew_up = True
-                trigger = hit
-                bracket = (state.t, candidate.t)
-                # the detected state itself is the final report, so the
-                # over-threshold norms at t_detect are visible downstream
-                state = candidate
-                break
-            dt = max(0.5 * dt, cfg.dt_min)
-            clean_streak = 0
-            continue
-        state, s_u = candidate, s_candidate
-        accepted += 1
-        clean_streak += 1
-        if clean_streak >= 64 and dt < dt0:
-            dt = min(2.0 * dt, dt0)
-            clean_streak = 0
-        if accepted % cfg.report_every == 0:
-            reports.append(make_report(mesh, state, params, lyap, prev=reports[-1]))
-
-    if reports[-1].t != state.t:
-        reports.append(make_report(mesh, state, params, lyap, prev=reports[-1]))
-
-    report = BlowupReport(
-        blew_up=blew_up,
-        t_detect=bracket[1] if blew_up else None,
-        t_bracket=bracket,
-        trigger=trigger,
-        final_report=reports[-1],
-        steps=accepted,
-        dt_final=dt,
-    )
-    return reports, report
+    return simulate_batch([cfg], [initial])[0]

@@ -271,6 +271,28 @@ def test_simulate_config_errors(tmp_path, capsys):
         assert msg in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "overrides, fragment",
+    [
+        (dict(initial_data={"scale": math.nan}), "initial scale must be finite"),
+        (dict(initial_data={"scale": math.inf}), "initial scale must be finite"),
+        (dict(initial_data={"scale": 1e200}), "initial data already crosses"),
+        (dict(report_every=2.5), "report_every must be an integer"),
+        (dict(report_every=True), "report_every must be an integer"),
+    ],
+)
+def test_simulate_rejects_bad_initial_data_and_report_spacing(
+    tmp_path, capsys, overrides, fragment
+):
+    # these used to run: a zero-step "PhaseNorm blow-up", or reports every
+    # 5 steps for 2.5 and every step for true
+    cfg = write_sim_config(tmp_path / "cfg.json", **overrides)
+    assert cli.main(["simulate", str(cfg), str(tmp_path / "o")]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -331,6 +353,30 @@ def test_scan_simulation_mode_and_determinism(tmp_path):
     for ln in lines[1:]:
         if "BlowsUpForNegativeEnergy" not in ln:
             assert ln.endswith(",")
+
+
+def test_scan_simulates_in_grid_order_across_stacks(tmp_path):
+    """The cells of a p x m scan fall into a linear-damping and a
+    nonlinear-damping stack; each row still reports its own cell's run."""
+    spec = cli.ScanSpec(
+        base=ModelParams(gamma=1.0, alpha=1.0),
+        axis1=("p", 3.0, 5.0, 3),
+        axis2=("m", 2.0, 3.0, 2),
+        mode="ClassifyAndSimulate",
+    )
+    rows = cli.run_scan(spec, tmp_path / "grid.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6
+    simulated = 0
+    for row, (p, m) in zip(rows, [(p, m) for p in (3.0, 4.0, 5.0) for m in (2.0, 3.0)]):
+        assert row.startswith(f"{cli.fmt_csv_float(p)},{cli.fmt_csv_float(m)},")
+        verdict, cfg = cli._scan_cell(spec, p, m)
+        if cfg is None:
+            assert row.endswith(",")
+            continue
+        simulated += 1
+        _, blowup = cli.solver.simulate(cfg)
+        assert row.endswith(",true" if blowup.blew_up else ",false")
+    assert simulated >= 4
 
 
 def test_scan_axis_validation(tmp_path, capsys):

@@ -228,6 +228,27 @@ def test_operators_bitwise_equal_roll_formulas(n_r, n_theta):
         w = np.abs(u)
         assert G.integrate_interior(m, w) == float(np.sum(w * m.interior_weights))
         assert G.integrate_boundary(m, w[-1]) == float(np.sum(w[-1] * m.boundary_weights))
+    # a stack with a leading cell axis: each slice as if it came alone
+    us = rng.standard_normal((3, n_r, n_theta)) * rng.uniform(0.1, 10.0, (3, 1, 1))
+    per_cell = {
+        "laplacian": G.laplacian(m, us),
+        "laplace_beltrami": G.laplace_beltrami(m, us[:, -1]),
+        "boundary_flux": G.boundary_flux(m, us),
+        "gradient_energy": np.stack(G.gradient_energy(m, us), axis=-1),
+        "integrate_interior": G.integrate_interior(m, us),
+        "integrate_boundary": G.integrate_boundary(m, us[:, -1]),
+    }
+    for i, u in enumerate(us):
+        alone = {
+            "laplacian": G.laplacian(m, u),
+            "laplace_beltrami": G.laplace_beltrami(m, u[-1]),
+            "boundary_flux": G.boundary_flux(m, u),
+            "gradient_energy": G.gradient_energy(m, u),
+            "integrate_interior": G.integrate_interior(m, u),
+            "integrate_boundary": G.integrate_boundary(m, u[-1]),
+        }
+        for name, value in alone.items():
+            assert np.array_equal(per_cell[name][i], value), name
 
 
 def test_gradient_energy_ramp(mesh):

@@ -65,6 +65,39 @@ def test_blowup_time_raises_when_quadrature_fails(l):
         blowup_time(OdeProblem(l=l, c=1.0, psi0=2.0))
 
 
+def reference_rk4(prob, blow_threshold=1e6, eta=1e-3):
+    """integrate_comparison's loop with its right-hand side as a function:
+    the reference the inlined loop must reproduce exactly."""
+    l, c = prob.l, prob.c
+
+    def rhs(y):
+        return abs(y) ** l - c
+
+    t, y = 0.0, prob.psi0
+    traj = [(t, y)]
+    while y < blow_threshold:
+        dt = eta * y ** (1.0 - l)
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y_new = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if y_new >= blow_threshold:
+            traj.append((t + (blow_threshold - y) * dt / (y_new - y), blow_threshold))
+            return traj
+        t, y = t + dt, y_new
+        traj.append((t, y))
+    return traj
+
+
+@pytest.mark.parametrize(
+    "l, c, psi0, threshold", [(2.0, 1.0, 2.0, 1e6), (1.7, 0.5, 3.0, 1e5), (3.3, 0.0, 0.4, 1e4)]
+)
+def test_integrate_matches_reference_loop(l, c, psi0, threshold):
+    prob = OdeProblem(l=l, c=c, psi0=psi0)
+    assert integrate_comparison(prob, threshold) == reference_rk4(prob, threshold)
+
+
 def test_hitting_time_exact_solution():
     # y = 1/(1-t) reaches Y at t = 1 - 1/Y
     traj = integrate_comparison(

@@ -63,6 +63,12 @@ def test_integral_float_dimension_accepted():
     assert critical_exponents(3.0).r_omega == 6.0
 
 
+def test_critical_exponents_shared_per_dimension():
+    # cached: classify asks for them four times per record
+    assert critical_exponents(4) is critical_exponents(4)
+    assert critical_exponents(4) is not critical_exponents(5)
+
+
 @pytest.mark.parametrize("rho, conj", [(2.0, 2.0), (3.0, 1.5), (INF, 1.0), (1.5, 3.0)])
 def test_holder_conjugate(rho, conj):
     assert holder_conjugate(rho) == pytest.approx(conj)

@@ -15,6 +15,7 @@ from kwlab.solver import (
     negative_energy_data,
     radial_profile,
     simulate,
+    simulate_batch,
     step,
 )
 
@@ -123,6 +124,18 @@ def test_damped_kick_newton_iteration_count(monkeypatch, par):
     assert counts["evals"] / counts["kicks"] <= 8.0
 
 
+def test_damped_kick_failure_marks_only_failed_cells(mesh):
+    par = ModelParams(alpha=1.0, m=3)
+    b = np.ones((3, 33, 32))
+    b[1, 5, 7] = np.nan
+    with pytest.raises(StepFailure) as failure:
+        solver._solve_damped_kick(mesh, b, 0.01, par)
+    assert failure.value.cells.tolist() == [False, True, False]
+    with pytest.raises(StepFailure) as failure:
+        solver._solve_damped_kick(mesh, b[1], 0.01, par)
+    assert failure.value.cells is None
+
+
 def test_damped_kick_failure_names_residual(mesh):
     par = ModelParams(alpha=1.0, m=3)
     b = np.ones((33, 32))
@@ -221,6 +234,10 @@ def test_config_default_dt_follows_mesh():
         (dict(params=SOURCE_PARAMS, n_r=2), "n_r must be at least 3"),
         (dict(params=SOURCE_PARAMS, n_theta=0), "n_theta must be at least 8"),
         (dict(params=SOURCE_PARAMS, r_inner=2.0, r_outer=1.0), "radii must satisfy"),
+        (dict(params=SOURCE_PARAMS, report_every=2.5), "report_every must be an integer"),
+        (dict(params=SOURCE_PARAMS, report_every=True), "report_every must be an integer"),
+        (dict(params=SOURCE_PARAMS, initial_scale=math.nan), "initial scale must be finite"),
+        (dict(params=SOURCE_PARAMS, initial_scale=math.inf), "initial scale must be finite"),
     ],
 )
 def test_config_validation(kwargs, pattern):
@@ -422,3 +439,106 @@ def test_simulate_identity_residual_refines():
 
     ratio = accumulated(1.0) / accumulated(0.5)
     assert 3.0 <= ratio <= 8.5
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches
+
+
+def batch_config(params, **overrides):
+    kwargs = dict(
+        n_r=17, n_theta=16, t_end=20.0, dt_min=1e-5, blow_threshold=1e8,
+        initial_mode="auto_negative_energy", report_every=5,
+    )
+    kwargs.update(overrides)
+    return SimConfig(params=ModelParams(**params), **kwargs)
+
+
+def test_simulate_batch_cells_equal_single_runs():
+    """Every cell of a mixed batch gives exactly what simulate gives it
+    alone: reports and blow-up record compare with ==."""
+    cfgs = [
+        # linear damping: LpNorm blow-ups with different p (one exponent per
+        # cell), p = 2 through NumPy's square shortcut, one cell reaching t_end
+        batch_config(dict(alpha=1.0, gamma=1.0, p=4.0), report_every=3),
+        batch_config(dict(alpha=2.0, gamma=1.0, p=5.0), report_every=7),
+        batch_config(dict(alpha=1.0, gamma=1.0, p=2.0), t_end=1.0,
+                     initial_mode="scaled", initial_scale=0.3),
+        # nonlinear damping: m = 3 (square shortcut) beside m = 4
+        batch_config(dict(alpha=1.0, m=3.0, gamma=1.0, p=4.0), report_every=4),
+        batch_config(dict(alpha=1.0, m=4.0, gamma=1.0, p=5.0), report_every=6),
+        # no damping: PhaseNorm blow-ups with per-cell thresholds and floors
+        batch_config(dict(gamma=1.0, p=20.0), dt_min=1e-3),
+        batch_config(dict(gamma=1.0, p=8.0), dt_min=1e-3, blow_threshold=1e13,
+                     report_every=2),
+        # both sources, boundary damping, no reports but the ends
+        batch_config(dict(delta=1.0, q=3.0, beta=1.0, gamma=1.0, p=3.0),
+                     report_every=10**9),
+    ]
+    batch = simulate_batch(cfgs)
+    alone = [simulate(cfg) for cfg in cfgs]
+    assert batch == alone
+    triggers = {rep.trigger for _, rep in alone}
+    assert triggers == {"LpNorm", "PhaseNorm", "None"}
+
+
+def test_simulate_batch_damping_failure_fails_only_its_cell(monkeypatch):
+    """A cell whose damping solve never converges halves its own dt down to
+    the floor and ends as DtFloor; its stack-mates run on as if alone."""
+    kick = solver._solve_damped_kick
+
+    def poisoned_kick(mesh, b, kappa, params):
+        # the cells with alpha = 2 get a NaN the Newton iteration cannot fix
+        b = b.copy()
+        cells = b.reshape(-1, *b.shape[-2:])
+        alpha = np.broadcast_to(np.ravel(params.alpha), len(cells))
+        cells[alpha == 2.0, 5, 5] = np.nan
+        return kick(mesh, b, kappa, params)
+
+    monkeypatch.setattr(solver, "_solve_damped_kick", poisoned_kick)
+    cfgs = [
+        batch_config(dict(alpha=1.0, m=3.0, gamma=1.0, p=4.0), dt_min=1e-3),
+        batch_config(dict(alpha=2.0, m=3.0, gamma=1.0, p=4.0), dt_min=1e-3),
+        batch_config(dict(alpha=1.0, m=4.0, gamma=1.0, p=5.0), dt_min=1e-3),
+    ]
+    batch = simulate_batch(cfgs)
+    assert batch == [simulate(cfg) for cfg in cfgs]
+    failed = batch[1][1]
+    assert failed.trigger == "DtFloor" and failed.steps == 0
+    assert failed.dt_final == cfgs[1].dt_min
+    assert [rep.trigger for _, rep in batch[::2]] == ["LpNorm", "LpNorm"]
+
+
+def test_simulate_batch_keeps_order_and_takes_initials():
+    mesh = build_annulus(1.0, 2.0, 17, 16)
+    hot = negative_energy_data(mesh, SOURCE_PARAMS, "ramp", margin=4.0)
+    cfgs = [
+        batch_config(dict(gamma=1.0, p=4.0)),
+        batch_config(dict(alpha=1.0, gamma=1.0, p=4.0), t_end=0.5,
+                     initial_mode="scaled", initial_scale=0.2),
+        batch_config(dict(gamma=1.0, p=4.0)),
+    ]
+    batch = simulate_batch(cfgs, [None, None, hot])
+    assert batch == [simulate(cfgs[0]), simulate(cfgs[1]), simulate(cfgs[2], hot)]
+    assert batch[2][0][0].E == pytest.approx(-4.0, abs=1e-9)
+    assert simulate_batch([]) == []
+    with pytest.raises(ValueError, match="initial states for"):
+        simulate_batch(cfgs, [None])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e4])
+def test_simulate_rejects_initial_data_past_the_monitors(scale):
+    """Data that already crosses a monitor is an error, not a blow-up
+    detected after zero steps."""
+    cfg = SimConfig(params=SOURCE_PARAMS, n_r=17, n_theta=16, t_end=1.0,
+                    initial_scale=scale)
+    with pytest.raises(ValueError, match="initial data already crosses"):
+        simulate(cfg)
+    mesh = build_annulus(1.0, 2.0, 17, 16)
+    st = initial_state(mesh, SOURCE_PARAMS, cfg)
+    calm = SimConfig(params=SOURCE_PARAMS, n_r=17, n_theta=16, t_end=1.0)
+    with pytest.raises(ValueError, match="initial data already crosses"):
+        simulate(calm, initial=st)
+    with pytest.raises(ValueError, match="initial data already crosses"):
+        simulate_batch([calm, calm], [None, st])
