@@ -56,9 +56,6 @@ class State:
     v: np.ndarray
     t: float = 0.0
 
-    def copy(self) -> "State":
-        return State(self.u.copy(), self.v.copy(), self.t)
-
 
 @dataclass(frozen=True)
 class EnergyReport:

@@ -103,16 +103,6 @@ class AnnulusMesh:
         self._angular_den = (r * self.dtheta) ** 2
         self._circle_den = (self.r_outer * self.dtheta) ** 2
 
-    @property
-    def area(self) -> float:
-        """Quadrature measure of the annulus (equals pi*(r_outer^2 - r_inner^2))."""
-        return float(self.interior_weights.sum())
-
-    @property
-    def boundary_length(self) -> float:
-        """Quadrature measure of the free circle (equals 2*pi*r_outer)."""
-        return float(self.boundary_weights.sum())
-
     def __repr__(self):  # pragma: no cover
         return (
             f"AnnulusMesh(r_inner={self.r_inner}, r_outer={self.r_outer}, "

@@ -15,27 +15,18 @@ This module computes T_m by quadrature with an explicit error budget, and
 independently integrates the ODE itself so the two routes can be checked
 against each other.
 
-Quadrature route (blowup_time):
+Quadrature route (blowup_time): w = tau^(1-l) makes T_m a proper integral,
 
-    split the improper integral at a cut R >= max(2*psi0, 10):
+    T_m = 1/(l-1) * integral_0^(psi0^(1-l)) dw / (1 - c*w^k),    k = l/(l-1),
 
-        T_m = quad(psi0, R) + integral_R^inf dtau/(tau^l - c)
-
-    and approximate the tail by the c = 0 closed form R^(1-l)/(l-1).
-    For tau >= R the exact tail is sandwiched,
-
-        R^(1-l)/(l-1)  <=  tail  <=  R^(1-l)/(l-1) * 1/(1 - c/R^l),
-
-    so the dropped correction is at most
-
-        R^(1-l)/(l-1) * c/(R^l - c),
-
-    and R is doubled until that bound is below tol/2; the finite part gets
-    the remaining tol/2 as its absolute tolerance.  When QUADPACK reports a
-    failure on the finite part, or an error estimate above tol/2, the
-    quadrature raises RuntimeError instead of returning a T_m it cannot
-    vouch for (this happens for c > 0 and l close to 1, where the cut grows
-    to 4e10 at l = 1.05 and 2e13 at l = 1.001).
+whose integrand lies in [1, 1/(1 - c*psi0^(-l))], finite as psi0 > c^(1/l).
+One QUADPACK call with absolute budget tol*(l-1)/2 leaves tol/2 on T_m, and
+c*w^k is formed as (c^(1/k)*w)^k, whose base stays below 1, so no power
+overflows.  RuntimeError replaces a T_m that cannot be vouched for: on a
+QUADPACK failure or an error estimate over budget, and near the edge
+psi0 -> c^(1/l), where T_m diverges logarithmically, once a rounding of psi0
+(which moves T_m by about eps*psi0^(1-l)/(1 - c*psi0^(-l))) or of the upper
+limit (that over l-1) moves T_m by more than tol/4.
 
 Integration route (integrate_comparison): explicit RK4 with the step law
 dt = eta * y^(1-l), which keeps the relative growth per step bounded as
@@ -76,28 +67,36 @@ class OdeProblem:
 def blowup_time(prob: OdeProblem, tol: float = 1e-10) -> float:
     """T_m(psi0) = integral_{psi0}^inf dtau/(tau^l - c), abs error <= tol.
 
-    Raises RuntimeError when the quadrature cannot meet that budget.
+    Raises RuntimeError when T_m is too ill-conditioned or quad misses tol.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     l, c, psi0 = prob.l, prob.c, prob.psi0
-    cut = max(2.0 * psi0, 10.0)
-    if c > 0:
-        # double the cut until the dropped tail correction is within budget
-        while cut ** (1.0 - l) / (l - 1.0) * (c / (cut**l - c)) > 0.5 * tol:
-            cut *= 2.0
+    k = l / (l - 1.0)
+    scale = c ** (1.0 / k)
+    try:
+        top = psi0 ** (1.0 - l)
+    except OverflowError:  # tiny psi0; the guard below refuses it
+        top = math.inf
+    gap = 1.0 - (scale * top) ** k
+    # T_m's shift under one rounding (relative eps) of psi0 or of top
+    shift = math.ulp(1.0) * top / (min(l - 1.0, 1.0) * gap) if gap > 0 else math.inf
+    if not shift <= 0.25 * tol:
+        raise RuntimeError(f"T_m is too ill-conditioned for l={l}, c={c}, psi0={psi0}: "
+                           f"one rounding moves it by {shift:.3g}, over tol/4")
+    budget = 0.5 * tol * (l - 1.0)
     # full_output=1 appends QUADPACK's message only when it reports a failure
-    head, abserr, _info, *failure = quad(
-        lambda tau: 1.0 / (tau**l - c), psi0, cut, epsabs=0.5 * tol, epsrel=1e-13,
-        limit=200, full_output=1,
+    integral, abserr, _info, *failure = quad(
+        lambda w: 1.0 / (1.0 - (scale * w) ** k), 0.0, top, epsabs=budget,
+        epsrel=1e-13, limit=200, full_output=1,
     )
-    if failure or not abserr <= 0.5 * tol:
+    if failure or not abserr <= budget:
         reason = failure[0].splitlines()[0] if failure else "error estimate over budget"
         raise RuntimeError(
             f"quadrature of T_m failed for l={l}, c={c}, psi0={psi0}: {reason} "
-            f"(error estimate {abserr:.3g}, budget {0.5 * tol:.3g})"
+            f"(error estimate {abserr:.3g}, budget {budget:.3g})"
         )
-    return head + cut ** (1.0 - l) / (l - 1.0)
+    return integral / (l - 1.0)
 
 
 def integrate_comparison(

@@ -28,6 +28,7 @@ def test_tracer_wraps_and_sees_every_layer(tmp_path):
             mode="ClassifyAndSimulate",
         )
         cli.run_scan(spec, tmp_path / "grid.csv")
+        cli.run_oracle(2.0, 1.0, 2.0, trajectory_path=tmp_path / "traj.csv")
     finally:
         tracer.unwrap_all()
     assert (solver.simulate, solver._crossing, functionals.integrate_interior) == originals
@@ -38,8 +39,11 @@ def test_tracer_wraps_and_sees_every_layer(tmp_path):
         "functionals.make_report", "solver.simulate", "solver.step",
         "solver.accel", "solver.kick", "solver.damping_accel",
         "solver.crossing", "solver.negative_energy_data",
+        "oracle.blowup_time", "oracle.integrate_comparison",
     ):
         assert name in names, name
     metrics = tracing.layer_metrics(tracer.spans, rounds=1)
     assert metrics["solver.step.calls"] > 0
     assert metrics["geometry.integrate.calls_per_step"] > 0
+    assert metrics["oracle.blowup_time.us_per_call"] > 0
+    assert metrics["oracle.integrate_comparison.ms_per_call"] > 0

@@ -181,12 +181,25 @@ def test_oracle_rejects_bad_tolerance_and_threshold(tmp_path, capsys, extra, fra
     assert not path.exists()
 
 
-@pytest.mark.parametrize("l", ["1.05", "1.001"])
-def test_oracle_failed_quadrature_exits_3(l, capsys):
-    assert cli.main(["oracle", "--l", l, "--c", "1", "--psi0", "2"]) == 3
+@pytest.mark.parametrize(
+    "l, want", [("1.05", 19.902118008449), ("1.001", 999.997796752135)], ids=["1.05", "1.001"]
+)
+def test_oracle_l_near_one_prints_golden(l, want, capsys):
+    assert cli.main(["oracle", "--l", l, "--c", "1", "--psi0", "2"]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("=")[1]) == pytest.approx(want, abs=1e-9)
+
+
+def test_oracle_huge_psi0(capsys):
+    assert cli.main(["oracle", "--l", "1.5", "--c", "1", "--psi0", "1e300"]) == 0
+    assert float(capsys.readouterr().out.split("=")[1]) == pytest.approx(2e-150, rel=1e-14)
+
+
+def test_oracle_ill_conditioned_exits_3(capsys):
+    assert cli.main(["oracle", "--l", "2", "--c", "1", "--psi0", "1.0000001"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "quadrature of T_m failed" in captured.err
+    assert "ill-conditioned" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from kwlab import oracle
 from kwlab.oracle import OdeProblem, blowup_time, integrate_comparison
 
 # closed forms: int_{psi0}^inf dtau/tau^l = psi0^(1-l)/(l-1), and for
@@ -18,7 +19,7 @@ GOLDEN = [
 
 @pytest.mark.parametrize("prob,want", GOLDEN)
 def test_blowup_time_golden(prob, want):
-    assert abs(blowup_time(prob) - want) <= 1e-9
+    assert abs(blowup_time(prob) - want) <= 1e-15
 
 
 def test_blowup_time_tolerance_argument():
@@ -57,12 +58,110 @@ def test_integrate_validation():
             integrate_comparison(prob, eta=eta)
 
 
-@pytest.mark.parametrize("l", [1.05, 1.001])
-def test_blowup_time_raises_when_quadrature_fails(l):
-    # c > 0 with l near 1 pushes the cut to ~1e13, where QUADPACK gives up;
-    # the parent returned about 0 (true T_m is about 19.9 at l = 1.05)
-    with pytest.raises(RuntimeError, match="quadrature of T_m failed"):
-        blowup_time(OdeProblem(l=l, c=1.0, psi0=2.0))
+def series(l, c, psi0, terms=400):
+    """T_m expanded in c/tau^l: sum_j c^j psi0^(1-(j+1)l)/((j+1)l - 1), a
+    geometric-rate series with ratio c*psi0^(-l), independent of quad."""
+    return math.fsum(
+        c**j * psi0 ** (1.0 - (j + 1) * l) / ((j + 1) * l - 1.0) for j in range(terms)
+    )
+
+
+def near_edge_reference(n, delta):
+    """T_m for l = 1 + 1/n, c = 1, psi0 = 1 + delta in closed form.
+
+    With m = n + 1 and x = psi0^(-1/n), T_m = n * int_0^x dw/(1 - w^m), which
+    splits over the m-th roots of unity r into -(n/m) sum_r r ln(1 - x/r).  The
+    r = 1 term takes 1 - x from delta directly, since 1 - x loses digits near
+    the edge.  At n = 1 this is (1/2) ln((psi0+1)/(psi0-1)).
+    """
+    m = n + 1
+    x = (1.0 + delta) ** (-1.0 / n)
+    roots = np.exp(2j * np.pi * np.arange(1, m) / m)
+    others = -np.sum(roots * np.log(1.0 - x / roots)).real
+    return n / m * (-math.log(-math.expm1(-math.log1p(delta) / n)) + others)
+
+
+@pytest.mark.parametrize(
+    "l, want", [pytest.param(1.05, 19.902118008449, id="1.05"),
+                pytest.param(1.001, 999.997796752135, id="1.001")]
+)
+def test_blowup_time_l_near_one_golden(l, want):
+    # c > 0 with l near 1: the slowest tails, decaying like tau^(1-l)
+    t_m = blowup_time(OdeProblem(l=l, c=1.0, psi0=2.0))
+    assert abs(t_m - want) <= 1e-9
+    assert abs(t_m - series(l, 1.0, 2.0)) <= 1e-10
+
+
+def test_l_near_one_golden_against_rk4():
+    # no quadrature: the RK4 hitting time of Y = 1e30 plus the c = 0 tail
+    # Y^(1-l)/(l-1); the c terms of the tail are below 1e-31
+    l, Y = 1.05, 1e30
+    t_hit = integrate_comparison(OdeProblem(l=l, c=1.0, psi0=2.0), Y)[-1][0]
+    assert abs(t_hit + Y ** (1.0 - l) / (l - 1.0) - 19.902118008449) <= 1e-6
+
+
+def test_blowup_time_matches_series_over_the_full_band():
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        l = rng.uniform(1.05, 4.0)
+        c = rng.uniform(0.0, 5.0)
+        psi0 = (c + 1.0) ** (1.0 / l) + rng.uniform(0.1, 4.0)
+        assert abs(blowup_time(OdeProblem(l=l, c=c, psi0=psi0)) - series(l, c, psi0)) <= 1e-10
+
+
+def test_huge_psi0():
+    # psi0^l overflows a double; T_m = 2 psi0^(-1/2) (1 + O(1/psi0^1.5))
+    t_m = blowup_time(OdeProblem(l=1.5, c=1.0, psi0=1e300))
+    assert t_m == pytest.approx(2e-150, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, per_decade", [(1, 10), (16, 100)])
+def test_near_edge_answers_within_tol_or_raises(n, per_decade):
+    # psi0 -> 1 = c^(1/l): T_m diverges like -ln(psi0 - 1)/l and one rounding
+    # moves it more and more.  At l = 1 + 1/16 a rounding of the upper limit
+    # psi0^(1-l) weighs 16 times more than one of psi0; a guard on psi0 alone
+    # answers psi0 = 1 + 10^-5.05 with an error of 1.36e-10 (tol 1e-10)
+    tol = 1e-10
+    answered, refused = [], []
+    for e in range(2 * per_decade, 10 * per_decade + 1):
+        prob = OdeProblem(l=1.0 + 1.0 / n, c=1.0, psi0=1.0 + 10.0 ** (-e / per_decade))
+        delta = prob.psi0 - 1.0  # exact
+        try:
+            t_m = blowup_time(prob, tol)
+        except RuntimeError as exc:
+            assert "ill-conditioned" in str(exc)
+            refused.append(delta)
+            continue
+        assert abs(t_m - near_edge_reference(n, delta)) <= tol, delta
+        answered.append(delta)
+    assert answered and refused
+    assert max(refused) < min(answered)
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [
+        # one rounding of psi0 moves T_m by about 1e-9 and 4e-9 (tol 1e-10)
+        OdeProblem(l=2.0, c=1.0, psi0=1.0 + 1e-7),
+        OdeProblem(l=2.0, c=1.0, psi0=1.0 + 3e-8),
+        # the first double above c^(1/l)
+        OdeProblem(l=2.0, c=2.0, psi0=math.nextafter(math.sqrt(2.0), 3.0)),
+        # T_m is about 1e206 and psi0^(1-l) overflows
+        OdeProblem(l=4.0, c=0.0, psi0=1e-103),
+    ],
+)
+def test_blowup_time_refuses_ill_conditioned(prob):
+    with pytest.raises(RuntimeError, match="ill-conditioned"):
+        blowup_time(prob)
+
+
+def test_blowup_time_raises_when_quadrature_fails(monkeypatch):
+    def failing_quad(*args, **kwargs):
+        return 1.0, 1e-3, {}, "The maximum number of subdivisions (200) has been achieved."
+
+    monkeypatch.setattr(oracle, "quad", failing_quad)
+    with pytest.raises(RuntimeError, match="quadrature of T_m failed.*subdivisions"):
+        blowup_time(OdeProblem(l=2.0, c=1.0, psi0=2.0))
 
 
 def reference_rk4(prob, blow_threshold=1e6, eta=1e-3):
@@ -149,7 +248,7 @@ def test_trajectory_shape_and_monotonicity():
 def test_time_decreases_in_initial_height():
     rng = np.random.default_rng(11)
     for _ in range(25):
-        l = rng.uniform(1.2, 4.0)
+        l = rng.uniform(1.05, 4.0)
         c = rng.uniform(0.0, 5.0)
         psi0 = c ** (1.0 / l) + rng.uniform(0.1, 5.0)
         lo = blowup_time(OdeProblem(l=l, c=c, psi0=psi0))
@@ -158,10 +257,9 @@ def test_time_decreases_in_initial_height():
 
 
 def test_time_increases_in_damping_offset():
-    # l >= 1.5 keeps the far tail light enough for quad's subdivision budget
     rng = np.random.default_rng(12)
     for _ in range(25):
-        l = rng.uniform(1.5, 4.0)
+        l = rng.uniform(1.05, 4.0)
         c = rng.uniform(0.0, 5.0)
         psi0 = (c + 1.0) ** (1.0 / l) + rng.uniform(0.1, 3.0)
         assert blowup_time(OdeProblem(l=l, c=c + 1.0, psi0=psi0)) > blowup_time(
