@@ -207,7 +207,8 @@ def dissipation_rate(mesh: AnnulusMesh, state: State, params: ModelParams) -> fl
     if params.alpha != 0.0:
         total += integrate_interior(mesh, damping_P(params, state.v) * state.v)
     if params.beta != 0.0:
-        total += integrate_boundary(mesh, damping_Q(params, state.v[-1]) * state.v[-1])
+        v_last = state.v[..., -1, :]
+        total += integrate_boundary(mesh, damping_Q(params, v_last) * v_last)
     return total
 
 
@@ -251,7 +252,7 @@ def make_report(
     z_val = None
     if lyap is not None and k_val > 0.0:
         pairing = integrate_interior(mesh, v * u) + integrate_boundary(
-            mesh, v[-1] * u[-1]
+            mesh, v[..., -1, :] * u[..., -1, :]
         )
         z_val = k_val ** (1.0 - lyap.k) + lyap.omega * pairing
     diss = dissipation_rate(mesh, state, params)

@@ -9,6 +9,13 @@ piece carries its own kinetic equation:
 
 with mt = m_tilde, qt = mu_tilde.  Everything here is a pure function of the
 parameter record and scalar/array inputs.
+
+The four nonlinear terms share one form, weight*(h(v, e) + w2*h(v, e2)) with
+h(v, e) = |v|^{e-2}v: the dampings P = (alpha, m, a, mt) and Q = (beta, mu,
+b, qt), and the sources f = (gamma, p) and g = (delta, q) with w2 = 0.  The
+derivatives P' and Q' that the implicit damping kick needs take the same
+form with h' = (e-1)|v|^{e-2}.  _term evaluates it once for all six; a zero
+weight gives exactly zero and a zero w2 drops the second summand.
 """
 from __future__ import annotations
 
@@ -144,58 +151,45 @@ def _odd_power_prime(v, e: float):
     return out
 
 
+def _term(weight, e, weight2, e2, v, power):
+    """weight*(power(v, e) + weight2*power(v, e2)); see the module docstring.
+    power is _odd_power for P, Q, f, g and _odd_power_prime for P', Q'."""
+    if not differs(weight, 0.0):
+        return np.zeros_like(np.asarray(v, dtype=float)) if np.ndim(v) else 0.0
+    out = power(v, e)
+    if differs(weight2, 0.0):
+        out = out + weight2 * power(v, e2)
+    return weight * out
+
+
 def damping_P(params: ModelParams, v):
     """Interior damping alpha*(a|v|^{m_tilde-2}v + |v|^{m-2}v); odd, nondecreasing."""
-    if not differs(params.alpha, 0.0):
-        return np.zeros_like(np.asarray(v, dtype=float)) if np.ndim(v) else 0.0
-    out = _odd_power(v, params.m)
-    if differs(params.a, 0.0):
-        out = out + params.a * _odd_power(v, params.m_tilde)
-    return params.alpha * out
+    return _term(params.alpha, params.m, params.a, params.m_tilde, v, _odd_power)
 
 
 def damping_Q(params: ModelParams, v):
     """Boundary damping beta*(b|v|^{mu_tilde-2}v + |v|^{mu-2}v)."""
-    if not differs(params.beta, 0.0):
-        return np.zeros_like(np.asarray(v, dtype=float)) if np.ndim(v) else 0.0
-    out = _odd_power(v, params.mu)
-    if differs(params.b, 0.0):
-        out = out + params.b * _odd_power(v, params.mu_tilde)
-    return params.beta * out
+    return _term(params.beta, params.mu, params.b, params.mu_tilde, v, _odd_power)
 
 
 def damping_P_prime(params: ModelParams, v):
     """dP/dv = alpha*(a(m_tilde-1)|v|^{m_tilde-2} + (m-1)|v|^{m-2}) >= 0."""
-    if not differs(params.alpha, 0.0):
-        return np.zeros_like(np.asarray(v, dtype=float)) if np.ndim(v) else 0.0
-    out = _odd_power_prime(v, params.m)
-    if differs(params.a, 0.0):
-        out = out + params.a * _odd_power_prime(v, params.m_tilde)
-    return params.alpha * out
+    return _term(params.alpha, params.m, params.a, params.m_tilde, v, _odd_power_prime)
 
 
 def damping_Q_prime(params: ModelParams, v):
     """dQ/dv = beta*(b(mu_tilde-1)|v|^{mu_tilde-2} + (mu-1)|v|^{mu-2}) >= 0."""
-    if not differs(params.beta, 0.0):
-        return np.zeros_like(np.asarray(v, dtype=float)) if np.ndim(v) else 0.0
-    out = _odd_power_prime(v, params.mu)
-    if differs(params.b, 0.0):
-        out = out + params.b * _odd_power_prime(v, params.mu_tilde)
-    return params.beta * out
+    return _term(params.beta, params.mu, params.b, params.mu_tilde, v, _odd_power_prime)
 
 
 def source_f(params: ModelParams, u):
     """Interior source gamma * |u|^{p-2} u."""
-    if not differs(params.gamma, 0.0):
-        return np.zeros_like(np.asarray(u, dtype=float)) if np.ndim(u) else 0.0
-    return params.gamma * _odd_power(u, params.p)
+    return _term(params.gamma, params.p, 0.0, None, u, _odd_power)
 
 
 def source_g(params: ModelParams, u):
     """Boundary source delta * |u|^{q-2} u."""
-    if not differs(params.delta, 0.0):
-        return np.zeros_like(np.asarray(u, dtype=float)) if np.ndim(u) else 0.0
-    return params.delta * _odd_power(u, params.q)
+    return _term(params.delta, params.q, 0.0, None, u, _odd_power)
 
 
 @dataclass(frozen=True)

@@ -46,17 +46,20 @@ __all__ = ["OdeProblem", "blowup_time", "integrate_comparison"]
 
 @dataclass(frozen=True)
 class OdeProblem:
-    """y' = |y|^l - c with y(0) = psi0; requires psi0 > c^(1/l) (strict)."""
+    """y' = |y|^l - c with y(0) = psi0; requires finite l > 1, c >= 0 and a
+    finite psi0 > c^(1/l) (strict)."""
 
     l: float
     c: float
     psi0: float
 
     def __post_init__(self):
-        if not self.l > 1:
-            raise ValueError(f"l must exceed 1, got {self.l}")
+        if not 1 < self.l < math.inf:
+            raise ValueError(f"l must exceed 1 and be finite, got {self.l}")
         if not self.c >= 0:
             raise ValueError(f"c must be nonnegative, got {self.c}")
+        if not math.isfinite(self.psi0):
+            raise ValueError(f"psi0 must be finite, got {self.psi0}")
         if not self.psi0 > self.c ** (1.0 / self.l):
             raise ValueError(
                 f"hypothesis violated: psi0 <= c^(1/l) "

@@ -224,24 +224,25 @@ def _accel(mesh: AnnulusMesh, u: np.ndarray, params: ModelParams) -> np.ndarray:
     return acc
 
 
-def _mix_free_row(mesh: AnnulusMesh, d: np.ndarray, q_last) -> np.ndarray:
-    """Overwrite d's free-circle row with the mass-scaled mix
-    ((dr/2) d + q_last) / (1 + dr/2); q_last is None when Q is switched off."""
+def _free_row_mix(
+    mesh: AnnulusMesh, v: np.ndarray, params: ModelParams, P, Q
+) -> np.ndarray:
+    """P(v) at interior rows, the mass-scaled mix ((dr/2) P(v) + Q(v)) / (1 + dr/2)
+    on the free-circle row; Q is skipped when beta is zero.  Called with
+    (damping_P, damping_Q) for D and with their derivatives for dD/dv."""
+    d = P(params, v)
     half = 0.5 * mesh.dr
     d_last = half * d[..., -1, :]
-    if q_last is not None:
-        d_last = d_last + q_last
+    if differs(params.beta, 0.0):
+        # the row keeps its axis while per-cell parameters act on it
+        d_last = d_last + Q(params, v[..., -1:, :])[..., 0, :]
     d[..., -1, :] = d_last / (1.0 + half)
     return d
 
 
 def _damping_accel(mesh: AnnulusMesh, v: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Damping acceleration D(v): P(v) at interior rows, the mass-scaled mix
-    ((dr/2) P(v) + Q(v)) / (1 + dr/2) on the free-circle row."""
-    q_last = (
-        damping_Q(params, v[..., -1:, :])[..., 0, :] if differs(params.beta, 0.0) else None
-    )
-    return _mix_free_row(mesh, damping_P(params, v), q_last)
+    """Damping acceleration D(v), assembled by _free_row_mix from P and Q."""
+    return _free_row_mix(mesh, v, params, damping_P, damping_Q)
 
 
 def _damping_linear_coeffs(mesh: AnnulusMesh, params: ModelParams):
@@ -265,12 +266,7 @@ def _damping_linear_coeffs(mesh: AnnulusMesh, params: ModelParams):
 def _damping_derivative(mesh: AnnulusMesh, v: np.ndarray, params: ModelParams) -> np.ndarray:
     """dD/dv, for the Newton iteration; may be inf at v = 0 when an exponent
     is below 2 (the safeguard handles it)."""
-    q_last = (
-        damping_Q_prime(params, v[..., -1:, :])[..., 0, :]
-        if differs(params.beta, 0.0)
-        else None
-    )
-    return _mix_free_row(mesh, damping_P_prime(params, v), q_last)
+    return _free_row_mix(mesh, v, params, damping_P_prime, damping_Q_prime)
 
 
 def _solve_damped_kick(

@@ -164,6 +164,12 @@ def test_oracle_trajectory_file(tmp_path, capsys):
 def test_oracle_rejects_bad_problem(capsys):
     assert cli.main(["oracle", "--l", "2", "--c", "4", "--psi0", "1"]) == 2
     assert "hypothesis violated" in capsys.readouterr().err
+    assert cli.main(["oracle", "--l", "inf", "--psi0", "2"]) == 2
+    assert "l must exceed 1 and be finite" in capsys.readouterr().err
+    assert cli.main(["oracle", "--l", "2", "--psi0", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert "psi0 must be finite" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("extra, fragment", [
@@ -441,4 +447,13 @@ def test_python_dash_m_invocation():
         text=True,
     )
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["conclusion"] == "GlobalForAllData"
+    (line,) = proc.stdout.splitlines()
+    assert json.loads(line)["conclusion"] == "GlobalForAllData"
+    proc = subprocess.run(
+        [sys.executable, "-m", "kwlab", "classify", "--p", "1.5"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")

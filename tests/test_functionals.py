@@ -240,6 +240,30 @@ def test_dissipation_zero_velocity(small_mesh):
     assert dissipation_rate(small_mesh, st, par) == 0.0
 
 
+def test_stacked_trace_terms_equal_each_cells_own(small_mesh):
+    """A stack reads each cell's own free-circle trace: on a 9x8 mesh a stack
+    of 9 cells gives each cell's own dissipation rate, and a one-cell stack
+    its own Z pairing, bitwise."""
+    mesh9 = build_annulus(1.0, 2.0, 9, 8)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((9, 9, 8))
+    v = rng.standard_normal((9, 9, 8))
+    u[:, 0] = v[:, 0] = 0.0
+    par = ModelParams(alpha=0.8, a=0.5, m=3, m_tilde=1.5, beta=0.6, b=0.2, mu=2.5)
+    stacked = dissipation_rate(mesh9, State(u=u, v=v), par)
+    alone = [dissipation_rate(mesh9, State(u=u[i], v=v[i]), par) for i in range(9)]
+    assert stacked.tolist() == alone
+
+    par = ModelParams(gamma=1.0, p=4, beta=1.0, mu=3)
+    st = negative_energy_data(small_mesh, par, "ramp")
+    st.v = 0.1 * st.u
+    lyap = default_k(par)
+    one = State(u=st.u[None], v=st.v[None])
+    assert make_report(small_mesh, one, par, lyap).Z.tolist() == [
+        make_report(small_mesh, st, par, lyap).Z
+    ]
+
+
 # ---------------------------------------------------------------------------
 # reports and the identity residual
 

@@ -39,6 +39,13 @@ def test_problem_validation():
         OdeProblem(l=2.0, c=4.0, psi0=2.0)
     with pytest.raises(ValueError, match="hypothesis violated"):
         OdeProblem(l=2.0, c=4.0, psi0=1.5)
+    # non-finite l and psi0 are invalid, not a T_m of 0 or nan
+    for l in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="l must exceed 1 and be finite"):
+            OdeProblem(l=l, c=0.0, psi0=2.0)
+    for psi0 in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="psi0 must be finite"):
+            OdeProblem(l=2.0, c=0.0, psi0=psi0)
 
 
 def test_blowup_time_rejects_bad_tol():

@@ -124,6 +124,35 @@ def test_damped_kick_newton_iteration_count(monkeypatch, par):
     assert counts["evals"] / counts["kicks"] <= 8.0
 
 
+def test_dt_regrows_after_64_clean_steps(monkeypatch):
+    """A failed damping solve halves dt; 64 accepted steps later dt doubles
+    back to the configured value."""
+    kick, step_fn = solver._solve_damped_kick, solver.step
+    dts, failures = [], []
+
+    def failing_once(*args):
+        if not failures:
+            failures.append(1)
+            raise StepFailure("injected")
+        return kick(*args)
+
+    def recorded_step(mesh, state, params, dt, s_u=None):
+        out = step_fn(mesh, state, params, dt, s_u)
+        dts.append(dt)
+        return out
+
+    monkeypatch.setattr(solver, "_solve_damped_kick", failing_once)
+    monkeypatch.setattr(solver, "step", recorded_step)
+    cfg = SimConfig(params=ModelParams(alpha=1.0, m=3), n_r=17, n_theta=16,
+                    t_end=3.0, initial_scale=0.3)
+    _, blowup = simulate(cfg)
+    assert failures == [1]
+    assert dts[:64] == [0.5 * cfg.dt] * 64
+    assert set(dts[64:-1]) == {cfg.dt}
+    assert blowup.trigger == "None" and blowup.steps == len(dts)
+    assert blowup.dt_final == cfg.dt
+
+
 def test_damped_kick_failure_marks_only_failed_cells(mesh):
     par = ModelParams(alpha=1.0, m=3)
     b = np.ones((3, 33, 32))
@@ -474,6 +503,9 @@ def test_simulate_batch_cells_equal_single_runs():
         # both sources, boundary damping, no reports but the ends
         batch_config(dict(delta=1.0, q=3.0, beta=1.0, gamma=1.0, p=3.0),
                      report_every=10**9),
+        # nonlinear boundary-only damping: the Newton kick with P off
+        batch_config(dict(beta=1.0, mu=3.0, gamma=1.0, p=3.0)),
+        batch_config(dict(beta=2.0, mu=4.0, gamma=1.0, p=4.0)),
     ]
     batch = simulate_batch(cfgs)
     alone = [simulate(cfg) for cfg in cfgs]
