@@ -129,8 +129,8 @@ def _source_norms(mesh: AnnulusMesh, u: np.ndarray, params: ModelParams) -> tupl
     exponent acts on it, so per-cell exponents, shaped (n_cells, 1, 1),
     broadcast over a stack."""
     return (
-        integrate_interior(mesh, abs_power(u, params.p)),
-        integrate_boundary(mesh, abs_power(u[..., -1:, :], params.q)[..., 0, :]),
+        integrate_interior(mesh, abs_power(np.abs(u), params.p)),
+        integrate_boundary(mesh, abs_power(np.abs(u[..., -1:, :]), params.q)[..., 0, :]),
     )
 
 

@@ -15,7 +15,8 @@ h(v, e) = |v|^{e-2}v: the dampings P = (alpha, m, a, mt) and Q = (beta, mu,
 b, qt), and the sources f = (gamma, p) and g = (delta, q) with w2 = 0.  The
 derivatives P' and Q' that the implicit damping kick needs take the same
 form with h' = (e-1)|v|^{e-2}.  _term evaluates it once for all six; a zero
-weight gives exactly zero and a zero w2 drops the second summand.
+weight gives exactly zero and a zero w2 drops the second summand.  |v| and
+sign(v) are taken once per term and shared by both summands.
 """
 from __future__ import annotations
 
@@ -112,84 +113,76 @@ def differs(x, value) -> bool:
 _SHORTCUT_EXPONENTS = (-1.0, 0.0, 0.5, 1.0, 2.0)
 
 
-def abs_power(v, s):
-    """|v|**s, for s a float or one exponent per cell of a stack.
+def abs_power(abs_v, s):
+    """abs_v**s for abs_v = |v| and s a float or one exponent per cell.
 
     A cell whose exponent NumPy takes by a shortcut is raised on its own with
     a float exponent, so each cell's bits are those of its own field.
     """
-    out = np.abs(v) ** s
+    out = abs_v ** s
     if isinstance(s, np.ndarray):
         for i, s_cell in enumerate(s.flat):
             if s_cell in _SHORTCUT_EXPONENTS:
-                out[i] = np.abs(v[i]) ** float(s_cell)
+                out[i] = abs_v[i] ** float(s_cell)
     return out
 
 
-def _odd_power(v, e: float):
-    """|v|^(e-2) * v with the continuous extension 0 at v=0 (valid for e>1).
-
-    An exponent array (one value per cell) always takes the general formula.
-    """
-    v = np.asarray(v, dtype=float)
-    if not differs(e, 2.0):
-        out = v + 0.0  # sign(v)*|v|**1.0 exactly, including -0.0 -> +0.0
-    else:
-        out = np.sign(v) * abs_power(v, e - 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _odd_power_prime(v, e: float):
-    """(e-1)|v|^(e-2), the derivative of _odd_power; inf at v=0 when e<2."""
-    v = np.asarray(v, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = (e - 1.0) * abs_power(v, e - 2.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _term(weight, e, weight2, e2, v, power):
-    """weight*(power(v, e) + weight2*power(v, e2)); see the module docstring.
-    power is _odd_power for P, Q, f, g and _odd_power_prime for P', Q'."""
+def _term(weight, e, weight2, e2, v, prime=False):
+    """weight*(h(v, e) + weight2*h(v, e2)), h the odd power or, for prime, its
+    derivative (see the module docstring); |v| and sign(v) are taken only if
+    read.  An exponent array (one value per cell) takes the general formula."""
     if not differs(weight, 0.0):
         return np.zeros_like(np.asarray(v, dtype=float)) if np.ndim(v) else 0.0
-    out = power(v, e)
-    if differs(weight2, 0.0):
-        out = out + weight2 * power(v, e2)
-    return weight * out
+    v = np.asarray(v, dtype=float)
+    second = differs(weight2, 0.0)
+    signed = not prime and (differs(e, 2.0) or (second and differs(e2, 2.0)))
+    abs_v = np.abs(v) if prime or signed else None
+    sign_v = np.sign(v) if signed else None
+
+    def h(s):
+        if prime:  # inf at v = 0 when s < 2; the prime callers silence it
+            return (s - 1.0) * abs_power(abs_v, s - 2.0)
+        if not differs(s, 2.0):
+            return v + 0.0  # sign(v)*|v|**1.0 exactly, including -0.0 -> +0.0
+        return sign_v * abs_power(abs_v, s - 1.0)
+
+    out = h(e)
+    if second:
+        out = out + weight2 * h(e2)
+    out = weight * out
+    return float(out) if out.ndim == 0 else out
 
 
 def damping_P(params: ModelParams, v):
     """Interior damping alpha*(a|v|^{m_tilde-2}v + |v|^{m-2}v); odd, nondecreasing."""
-    return _term(params.alpha, params.m, params.a, params.m_tilde, v, _odd_power)
+    return _term(params.alpha, params.m, params.a, params.m_tilde, v)
 
 
 def damping_Q(params: ModelParams, v):
     """Boundary damping beta*(b|v|^{mu_tilde-2}v + |v|^{mu-2}v)."""
-    return _term(params.beta, params.mu, params.b, params.mu_tilde, v, _odd_power)
+    return _term(params.beta, params.mu, params.b, params.mu_tilde, v)
 
 
 def damping_P_prime(params: ModelParams, v):
     """dP/dv = alpha*(a(m_tilde-1)|v|^{m_tilde-2} + (m-1)|v|^{m-2}) >= 0."""
-    return _term(params.alpha, params.m, params.a, params.m_tilde, v, _odd_power_prime)
+    with np.errstate(divide="ignore"):
+        return _term(params.alpha, params.m, params.a, params.m_tilde, v, prime=True)
 
 
 def damping_Q_prime(params: ModelParams, v):
     """dQ/dv = beta*(b(mu_tilde-1)|v|^{mu_tilde-2} + (mu-1)|v|^{mu-2}) >= 0."""
-    return _term(params.beta, params.mu, params.b, params.mu_tilde, v, _odd_power_prime)
+    with np.errstate(divide="ignore"):
+        return _term(params.beta, params.mu, params.b, params.mu_tilde, v, prime=True)
 
 
 def source_f(params: ModelParams, u):
     """Interior source gamma * |u|^{p-2} u."""
-    return _term(params.gamma, params.p, 0.0, None, u, _odd_power)
+    return _term(params.gamma, params.p, 0.0, None, u)
 
 
 def source_g(params: ModelParams, u):
     """Boundary source delta * |u|^{q-2} u."""
-    return _term(params.delta, params.q, 0.0, None, u, _odd_power)
+    return _term(params.delta, params.q, 0.0, None, u)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ x + kappa*D(x) = b has exactly one root, trapped between 0 and b, found by a
 vectorized safeguarded Newton iteration (bisection fallback, as in rtsafe),
 with a closed form when every active damping exponent is 2.  An entry whose
 residual meets the tolerance is frozen; only the others shrink their bracket
-and move.
+and move.  v_next reuses the iteration's last evaluation of D(v_half).
 
 S is evaluated once per step: the S(u_next) that ends a step is the S(u_n)
 that starts the next one (first same as last), so simulate carries it from
@@ -45,12 +45,14 @@ then hold one value per cell, and a parameter on which the cells differ is
 an (n_cells, 1, 1) array; a 2-D input is computed exactly as before.
 simulate_batch steps the cells that share a mesh and their kernel branches
 (which weights are zero, whether the kick has a closed form) as one stack in
-lockstep.  Each cell keeps its own dt, clean streak and step count; a
-rollback is a masked where over the cell axis, and a cell that finishes
-(blow-up detected, DtFloor, or t_end) is retired: its rows are compacted out
-of the arrays.  No operation mixes cells, and an exponent NumPy takes by a
-shortcut is applied cell by cell (model.abs_power), so each cell's result is
-bitwise the one it gets alone; simulate is the batch of one.
+lockstep.  The stack's parameter record resolves those branches once, when
+the stack forms and at each compaction.  Each cell keeps its own dt, clean
+streak and step count; a rollback is a masked where over the cell axis, and
+a cell that finishes (blow-up detected, DtFloor, or t_end) is retired: its
+rows are compacted out of the arrays.  No operation mixes cells, and an
+exponent NumPy takes by a shortcut is applied cell by cell (model.abs_power),
+so each cell's result is bitwise the one it gets alone; simulate is the batch
+of one.
 """
 from __future__ import annotations
 
@@ -195,7 +197,7 @@ def initial_state(mesh: AnnulusMesh, params: ModelParams, cfg: "SimConfig") -> S
 # the step
 
 
-def _accel(mesh: AnnulusMesh, u: np.ndarray, params: ModelParams) -> np.ndarray:
+def _accel(mesh: AnnulusMesh, u: np.ndarray, params: SimpleNamespace) -> np.ndarray:
     """Stiffness + source acceleration S(u) (damping excluded).
 
     Interior rows: laplacian + f(u).  Free-circle row: the variational
@@ -205,7 +207,7 @@ def _accel(mesh: AnnulusMesh, u: np.ndarray, params: ModelParams) -> np.ndarray:
     outermost half cell and the row mass is r dtheta (1 + dr/2).
     """
     acc = geometry.laplacian(mesh, u)
-    if differs(params.gamma, 0.0):
+    if params.gamma_on:
         f_u = source_f(params, u)
         acc[..., 1:-1, :] += f_u[..., 1:-1, :]
         f_last = f_u[..., -1, :]
@@ -213,7 +215,7 @@ def _accel(mesh: AnnulusMesh, u: np.ndarray, params: ModelParams) -> np.ndarray:
         f_last = 0.0
     half = 0.5 * mesh.dr
     boundary = -geometry.boundary_flux(mesh, u) + half * f_last
-    if differs(params.delta, 0.0):
+    if params.delta_on:
         # the row keeps its axis while per-cell parameters, shaped
         # (n_cells, 1, 1), act on it
         boundary += source_g(params, u[..., -1:, :])[..., 0, :]
@@ -225,7 +227,7 @@ def _accel(mesh: AnnulusMesh, u: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def _free_row_mix(
-    mesh: AnnulusMesh, v: np.ndarray, params: ModelParams, P, Q
+    mesh: AnnulusMesh, v: np.ndarray, params: SimpleNamespace, P, Q
 ) -> np.ndarray:
     """P(v) at interior rows, the mass-scaled mix ((dr/2) P(v) + Q(v)) / (1 + dr/2)
     on the free-circle row; Q is skipped when beta is zero.  Called with
@@ -233,83 +235,76 @@ def _free_row_mix(
     d = P(params, v)
     half = 0.5 * mesh.dr
     d_last = half * d[..., -1, :]
-    if differs(params.beta, 0.0):
+    if params.beta_on:
         # the row keeps its axis while per-cell parameters act on it
         d_last = d_last + Q(params, v[..., -1:, :])[..., 0, :]
     d[..., -1, :] = d_last / (1.0 + half)
     return d
 
 
-def _damping_accel(mesh: AnnulusMesh, v: np.ndarray, params: ModelParams) -> np.ndarray:
+def _damping_accel(mesh: AnnulusMesh, v: np.ndarray, params: SimpleNamespace) -> np.ndarray:
     """Damping acceleration D(v), assembled by _free_row_mix from P and Q."""
     return _free_row_mix(mesh, v, params, damping_P, damping_Q)
 
 
-def _damping_linear_coeffs(mesh: AnnulusMesh, params: ModelParams):
+def _damping_linear_coeffs(mesh: AnnulusMesh, params: SimpleNamespace):
     """(c_interior, c_boundary_row) when D is linear, else None."""
-    if differs(params.alpha, 0.0) and (
-        differs(params.m, 2.0)
-        or (differs(params.a, 0.0) and differs(params.m_tilde, 2.0))
-    ):
-        return None
-    if differs(params.beta, 0.0) and (
-        differs(params.mu, 2.0)
-        or (differs(params.b, 0.0) and differs(params.mu_tilde, 2.0))
-    ):
-        return None
+    for w, e, w2, e2 in ((params.alpha, params.m, params.a, params.m_tilde),
+                         (params.beta, params.mu, params.b, params.mu_tilde)):
+        if differs(w, 0.0) and (differs(e, 2.0) or (differs(w2, 0.0) and differs(e2, 2.0))):
+            return None
     c_int = params.alpha * (1.0 + params.a)
     c_bnd = params.beta * (1.0 + params.b)
     half = 0.5 * mesh.dr
     return c_int, (half * c_int + c_bnd) / (1.0 + half)
 
 
-def _damping_derivative(mesh: AnnulusMesh, v: np.ndarray, params: ModelParams) -> np.ndarray:
-    """dD/dv, for the Newton iteration; may be inf at v = 0 when an exponent
-    is below 2 (the safeguard handles it)."""
-    return _free_row_mix(mesh, v, params, damping_P_prime, damping_Q_prime)
-
-
 def _solve_damped_kick(
-    mesh: AnnulusMesh, b: np.ndarray, kappa: float, params: ModelParams
-) -> np.ndarray:
-    """Solve x + kappa*D(x) = b pointwise.
+    mesh: AnnulusMesh, b: np.ndarray, kappa: float, params: SimpleNamespace
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Solve x + kappa*D(x) = b pointwise; returns x and D(x).
 
     D is odd and nondecreasing, so the root is unique and lies between 0 and
     b componentwise.  Newton from x = b with a bisection safeguard; closed
     form when D is linear.  Converged entries are frozen: each sits on an
     end of its own bracket, so the bracket test would bisect it away, and
-    because they stay put no cell of a stack depends on another.
+    because they stay put no cell of a stack depends on another.  D(x) is
+    the last residual's, or None when the kick evaluated none (closed form,
+    no damping).  params is a stack's record (_stack_params).
     """
-    if not (differs(params.alpha, 0.0) or differs(params.beta, 0.0)):
-        return b.copy()
-    lin = _damping_linear_coeffs(mesh, params)
-    if lin is not None:
-        c_int, c_bnd = lin
+    if not params.damped:
+        return b.copy(), None
+    if params.lin is not None:
+        c_int, c_bnd = params.lin
         x = b / (1.0 + kappa * c_int)
         x[..., -1:, :] = b[..., -1:, :] / (1.0 + kappa * c_bnd)
-        return x
+        return x, None
 
-    lo = np.minimum(b, 0.0)
-    hi = np.maximum(b, 0.0)
+    lo, hi = np.minimum(b, 0.0), np.maximum(b, 0.0)
     x = b.copy()
     tol = 1e-14 * (1.0 + np.abs(b))
-    for _ in range(120):
-        g = x + kappa * _damping_accel(mesh, x, params) - b
-        done = np.abs(g) <= tol
-        if done.all():
-            return x
-        active = ~done
-        pos = g > 0
-        hi = np.where(active & pos, x, hi)
-        lo = np.where(active & ~pos, x, lo)
-        with np.errstate(invalid="ignore", over="ignore"):
-            x_new = x - g / (1.0 + kappa * _damping_derivative(mesh, x, params))
-        bad = ~np.isfinite(x_new) | (x_new <= lo) | (x_new >= hi)
-        x = np.where(done, x, np.where(bad, 0.5 * (lo + hi), x_new))
-    resid = np.abs(x + kappa * _damping_accel(mesh, x, params) - b)
+    # the safeguard and the final residual check catch non-finite values
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(120):
+            d = _damping_accel(mesh, x, params)
+            g = x + kappa * d - b
+            done = np.abs(g) <= tol
+            if done.all():
+                return x, d
+            # a converged entry is frozen, so its bracket is never read again
+            pos = g > 0
+            hi = np.where(pos, x, hi)
+            lo = np.where(pos, lo, x)
+            # dD/dv is inf at 0 when an exponent is below 2; such steps bisect
+            slope = _free_row_mix(mesh, x, params, damping_P_prime, damping_Q_prime)
+            x_new = x - g / (1.0 + kappa * slope)
+            inside = (x_new > lo) & (x_new < hi)
+            x = np.where(done, x, np.where(inside, x_new, 0.5 * (lo + hi)))
+    d = _damping_accel(mesh, x, params)
+    resid = np.abs(x + kappa * d - b)
     unconverged = ~(resid <= 1e3 * tol)
     if not unconverged.any():
-        return x
+        return x, d
     raise StepFailure(
         f"damping solve did not converge: {np.count_nonzero(unconverged)} of "
         f"{resid.size} entries above tolerance, worst residual {np.max(resid):.3e}",
@@ -329,28 +324,33 @@ def step(
     s_u is S(state.u) if the caller already has it, else None.  Returns a
     fresh State and S of its u, which the next step can take as its s_u.
     Neither s_u nor the state is modified.  On a stack of cells, dt and
-    state.t hold one value per cell.
+    state.t hold one value per cell.  params is a ModelParams or a stack's
+    record (_stack_params).
     """
     if isinstance(dt, np.ndarray):
-        valid = (dt > 0).all()
+        valid = ((dt > 0) & (dt < math.inf)).all()
         dt_grid = dt[:, None, None]  # broadcasts over each cell's grid
     else:
-        valid = dt > 0
+        valid = 0 < dt < math.inf
         dt_grid = dt
     if not valid:
-        raise ValueError(f"dt must be positive, got {dt}")
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if isinstance(params, ModelParams):
+        params = _stack_params(mesh, [params])
     kappa = 0.5 * dt_grid
     if s_u is None:
         s_u = _accel(mesh, state.u, params)
     b = state.v + kappa * s_u
     b[..., 0, :] = 0.0
-    v_half = _solve_damped_kick(mesh, b, kappa, params)
+    v_half, d_half = _solve_damped_kick(mesh, b, kappa, params)
     u_new = state.u + dt_grid * v_half
     u_new[..., 0, :] = 0.0
     s_new = _accel(mesh, u_new, params)
     v_new = v_half + kappa * s_new
-    if differs(params.alpha, 0.0) or differs(params.beta, 0.0):
-        v_new = v_new - kappa * _damping_accel(mesh, v_half, params)
+    if params.damped:
+        if d_half is None:
+            d_half = _damping_accel(mesh, v_half, params)
+        v_new = v_new - kappa * d_half
     v_new[..., 0, :] = 0.0
     return State(u=u_new, v=v_new, t=state.t + dt), s_new
 
@@ -505,23 +505,23 @@ def _crossing(
     return hit[()] if hit.ndim == 0 else hit
 
 
-def _branches(mesh: AnnulusMesh, params: ModelParams) -> tuple:
-    """The kernel branches a cell takes: which weights are zero, and whether
-    the damping kick has a closed form.  Cells that agree on them (and on
-    the mesh) step as one stack."""
-    weights = (params.alpha, params.beta, params.gamma, params.delta, params.a, params.b)
-    return tuple(w != 0.0 for w in weights), _damping_linear_coeffs(mesh, params) is None
-
-
-def _stack_params(records: list[ModelParams]) -> SimpleNamespace:
-    """One parameter record for a stack: each field a single value where the
-    cells agree on it, else one value per cell shaped (n_cells, 1, 1)."""
+def _stack_params(mesh: AnnulusMesh, records: list[ModelParams]) -> SimpleNamespace:
+    """One parameter record for a stack (a field the cells differ on holds one
+    value per cell, shaped (n_cells, 1, 1)), with the kernels' branch flags, lin
+    (the closed-form kick's coefficients, or None) and branches, the stacking key."""
     fields = {}
     for name in ModelParams.field_names():
         values = [getattr(par, name) for par in records]
         same = all(x == values[0] for x in values)
         fields[name] = values[0] if same else np.array(values, dtype=float)[:, None, None]
-    return SimpleNamespace(**fields)
+    par = SimpleNamespace(**fields)
+    weights = (par.alpha, par.beta, par.gamma, par.delta, par.a, par.b)
+    on = tuple(differs(w, 0.0) for w in weights)
+    par.beta_on, par.gamma_on, par.delta_on = on[1:4]
+    par.damped = on[0] or par.beta_on
+    par.lin = _damping_linear_coeffs(mesh, par)
+    par.branches = on, par.lin is None
+    return par
 
 
 @dataclass(slots=True)
@@ -615,7 +615,7 @@ def _run_stack(
     v = np.stack([st.v for st in states])
     if one:
         u, v = u[0], v[0]
-    params = _stack_params([cfg.params for cfg in cfgs])
+    params = _stack_params(mesh, [cfg.params for cfg in cfgs])
     threshold = _cell_values([cfg.blow_threshold for cfg in cfgs], one)
     hit = _crossing(mesh, State(u, v), params, threshold)
     if hit is not None:
@@ -641,7 +641,7 @@ def _run_stack(
             one = len(live) == 1
             if one:
                 u, v, s_u = u[0], v[0], s_u[0]
-            params = _stack_params([c.cfg.params for c in live])
+            params = _stack_params(mesh, [c.cfg.params for c in live])
             threshold = _cell_values([c.cfg.blow_threshold for c in live], one)
         dt_step = [min(c.dt, c.cfg.t_end - c.t) for c in live]
         state = State(u, v, _cell_values([c.t for c in live], one))
@@ -684,7 +684,8 @@ def simulate_batch(
     Cells that share a mesh and their kernel branches step together as one
     stack (see _run_stack); each cell's result is bitwise the one simulate
     gives it alone.  `initials` overrides the configured initial data cell by
-    cell (None keeps it).  Raises ValueError when an initial state already
+    cell (None keeps it).  Raises ValueError when an initial state does not
+    have the mesh's shape, is nonzero on the pinned circle, or already
     crosses the blow-up monitors.
     """
     cfgs = list(cfgs)
@@ -697,8 +698,14 @@ def simulate_batch(
         if shape not in meshes:
             meshes[shape] = build_annulus(*shape)
         mesh = meshes[shape]
-        states.append(initial if initial is not None else initial_state(mesh, cfg.params, cfg))
-        stacks.setdefault((shape, _branches(mesh, cfg.params)), []).append(i)
+        if initial is None:
+            initial = initial_state(mesh, cfg.params, cfg)
+        elif (not np.shape(initial.u) == np.shape(initial.v) == shape[2:]
+              or np.any(initial.u[0]) or np.any(initial.v[0])):
+            raise ValueError(f"initial u and v must have shape {shape[2:]} and be "
+                             "zero on the pinned circle (row 0)")
+        states.append(initial)
+        stacks.setdefault((shape, _stack_params(mesh, [cfg.params]).branches), []).append(i)
     results = [None] * len(cfgs)
     for (shape, _), members in stacks.items():
         outcomes = _run_stack(

@@ -45,6 +45,16 @@ def test_step_rejects_bad_dt(mesh):
     st = State(u=np.zeros((33, 32)), v=np.zeros((33, 32)))
     with pytest.raises(ValueError, match="dt must be positive"):
         step(mesh, st, ModelParams(), -0.01)
+    # a non-finite dt is an input error on every kick path, not a StepFailure
+    kicks = [ModelParams(gamma=1, p=3), ModelParams(alpha=1, gamma=1, p=3),
+             ModelParams(alpha=1, m=3, gamma=1, p=3)]
+    stack = State(u=np.zeros((2, 33, 32)), v=np.zeros((2, 33, 32)), t=np.zeros(2))
+    for par in kicks:
+        for dt in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                step(mesh, st, par, dt)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            step(mesh, stack, par, np.array([0.01, math.inf]))
 
 
 def test_step_preserves_pinned_row(mesh):
@@ -124,6 +134,45 @@ def test_damped_kick_newton_iteration_count(monkeypatch, par):
     assert counts["evals"] / counts["kicks"] <= 8.0
 
 
+@pytest.mark.parametrize(
+    "par, outside",
+    [
+        (ModelParams(alpha=1.0, m=4, a=1.0, m_tilde=1.5, gamma=1.0, p=3), 0),
+        (ModelParams(beta=1.0, mu=3, gamma=1.0, p=3), 0),
+        (ModelParams(alpha=1.0, beta=1.0, gamma=1.0, p=3), 1),
+    ],
+)
+def test_step_reuses_the_kicks_damping_evaluation(monkeypatch, par, outside):
+    """The Newton kick hands its last D(v_half) to v_next, so a step
+    evaluates D only inside the kick; the closed-form kick evaluates none,
+    and v_next then evaluates it once."""
+    counts = {"inside": False, "outside": 0, "steps": 0}
+    kick, damping, step_fn = solver._solve_damped_kick, solver._damping_accel, solver.step
+
+    def counted_kick(*args):
+        counts["inside"] = True
+        try:
+            return kick(*args)
+        finally:
+            counts["inside"] = False
+
+    def counted_damping(*args):
+        counts["outside"] += not counts["inside"]
+        return damping(*args)
+
+    def counted_step(*args):
+        counts["steps"] += 1
+        return step_fn(*args)
+
+    monkeypatch.setattr(solver, "_solve_damped_kick", counted_kick)
+    monkeypatch.setattr(solver, "_damping_accel", counted_damping)
+    monkeypatch.setattr(solver, "step", counted_step)
+    cfg = SimConfig(params=par, t_end=0.25, initial_profile="sine", initial_scale=2.0)
+    _, blowup = simulate(cfg)
+    assert blowup.steps == counts["steps"] == 20
+    assert counts["outside"] == outside * counts["steps"]
+
+
 def test_dt_regrows_after_64_clean_steps(monkeypatch):
     """A failed damping solve halves dt; 64 accepted steps later dt doubles
     back to the configured value."""
@@ -154,7 +203,7 @@ def test_dt_regrows_after_64_clean_steps(monkeypatch):
 
 
 def test_damped_kick_failure_marks_only_failed_cells(mesh):
-    par = ModelParams(alpha=1.0, m=3)
+    par = solver._stack_params(mesh, [ModelParams(alpha=1.0, m=3)])
     b = np.ones((3, 33, 32))
     b[1, 5, 7] = np.nan
     with pytest.raises(StepFailure) as failure:
@@ -166,7 +215,7 @@ def test_damped_kick_failure_marks_only_failed_cells(mesh):
 
 
 def test_damped_kick_failure_names_residual(mesh):
-    par = ModelParams(alpha=1.0, m=3)
+    par = solver._stack_params(mesh, [ModelParams(alpha=1.0, m=3)])
     b = np.ones((33, 32))
     b[5, 7] = np.nan
     with pytest.raises(
@@ -506,6 +555,12 @@ def test_simulate_batch_cells_equal_single_runs():
         # nonlinear boundary-only damping: the Newton kick with P off
         batch_config(dict(beta=1.0, mu=3.0, gamma=1.0, p=3.0)),
         batch_config(dict(beta=2.0, mu=4.0, gamma=1.0, p=4.0)),
+        # two-term damping sharing |v| between its summands: m_tilde = 1.5
+        # makes e - 1 = 0.5, NumPy's sqrt shortcut, in one cell of each pair
+        batch_config(dict(alpha=1.0, a=1.0, m=4.0, m_tilde=1.5, gamma=1.0, p=4.0)),
+        batch_config(dict(alpha=1.0, a=0.5, m=3.5, m_tilde=1.7, gamma=1.0, p=4.0)),
+        batch_config(dict(beta=1.0, b=1.0, mu=3.0, mu_tilde=1.5, gamma=1.0, p=3.0)),
+        batch_config(dict(beta=1.0, b=0.5, mu=3.0, mu_tilde=1.7, gamma=1.0, p=3.0)),
     ]
     batch = simulate_batch(cfgs)
     alone = [simulate(cfg) for cfg in cfgs]
@@ -556,6 +611,27 @@ def test_simulate_batch_keeps_order_and_takes_initials():
     assert simulate_batch([]) == []
     with pytest.raises(ValueError, match="initial states for"):
         simulate_batch(cfgs, [None])
+
+
+def test_simulate_rejects_bad_initial_states():
+    """An initial state must have the mesh's shape and vanish on the pinned
+    circle, as State requires: the first step would zero a nonzero pinned
+    row and break the energy identity without an error."""
+    cfg = SimConfig(params=ModelParams(gamma=1.0, p=3), n_r=9, n_theta=8,
+                    t_end=1.0, initial_mode="auto_negative_energy")
+    mesh = build_annulus(1.0, 2.0, 9, 8)
+    good = initial_state(mesh, cfg.params, cfg)
+    pinned_u = State(u=good.u.copy(), v=good.v)
+    pinned_u.u[0] = 0.5
+    pinned_v = State(u=good.u, v=good.v.copy())
+    pinned_v.v[0, 3] = -1e-300
+    for bad in (pinned_u, pinned_v, State(u=good.u[:-1], v=good.v[:-1]),
+                State(u=good.u, v=np.zeros((9, 9)))):
+        with pytest.raises(ValueError, match="initial u and v must have shape"):
+            simulate(cfg, initial=bad)
+        with pytest.raises(ValueError, match="initial u and v must have shape"):
+            simulate_batch([cfg, cfg], [None, bad])
+    assert simulate(cfg, initial=good) == simulate(cfg)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
