@@ -246,10 +246,14 @@ def run_oracle(
     blow_threshold: float | None = None,
     trajectory_path: str | Path | None = None,
 ) -> float:
-    """Print the blow-up time; optionally also integrate and dump (t, y)."""
+    """Print the blow-up time; optionally also integrate and dump (t, y).
+
+    Prints nothing unless every step succeeds."""
+    if blow_threshold is not None and trajectory_path is None:
+        raise ValueError("--threshold needs --trajectory")
     prob = oracle_mod.OdeProblem(l=l, c=c, psi0=psi0)
     t_m = oracle_mod.blowup_time(prob, tol)
-    print(f"T_m = {fmt_json_float(t_m)}")
+    out = [f"T_m = {fmt_json_float(t_m)}"]
     if trajectory_path is not None:
         traj = oracle_mod.integrate_comparison(
             prob, 1e6 if blow_threshold is None else blow_threshold
@@ -257,7 +261,8 @@ def run_oracle(
         lines = ["t,y"]
         lines += [f"{fmt_csv_float(t)},{fmt_csv_float(y)}" for t, y in traj]
         Path(trajectory_path).write_text("\n".join(lines) + "\n")
-        print(f"t_hit = {fmt_json_float(traj[-1][0])} -> {trajectory_path}")
+        out.append(f"t_hit = {fmt_json_float(traj[-1][0])} -> {trajectory_path}")
+    print("\n".join(out))
     return t_m
 
 

@@ -13,7 +13,8 @@ whose solution is increasing and reaches +infinity at the finite time
 
 This module computes T_m by quadrature with an explicit error budget, and
 independently integrates the ODE itself so the two routes can be checked
-against each other.
+against each other.  Only the quadrature needs scipy, and blowup_time
+imports it on its first call, so importing kwlab does not load scipy.
 
 Quadrature route (blowup_time): w = tau^(1-l) makes T_m a proper integral,
 
@@ -32,14 +33,13 @@ Integration route (integrate_comparison): explicit RK4 with the step law
 dt = eta * y^(1-l), which keeps the relative growth per step bounded as
 y -> infinity, so a finite threshold is reached in O(log(threshold)/eta)
 steps.  The hitting time of a threshold Y underestimates T_m by exactly the
-remaining tail T_m(Y).
+remaining tail T_m(Y).  A step that does not raise y (it rounds to y, or is
+NaN) raises RuntimeError instead of looping forever.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 __all__ = ["OdeProblem", "blowup_time", "integrate_comparison"]
 
@@ -88,6 +88,8 @@ def blowup_time(prob: OdeProblem, tol: float = 1e-10) -> float:
         raise RuntimeError(f"T_m is too ill-conditioned for l={l}, c={c}, psi0={psi0}: "
                            f"one rounding moves it by {shift:.3g}, over tol/4")
     budget = 0.5 * tol * (l - 1.0)
+    from scipy.integrate import quad  # the only scipy use in kwlab
+
     # full_output=1 appends QUADPACK's message only when it reports a failure
     integral, abserr, _info, *failure = quad(
         lambda w: 1.0 / (1.0 - (scale * w) ** k), 0.0, top, epsabs=budget,
@@ -110,7 +112,7 @@ def integrate_comparison(
     Classical RK4 with the adaptive step dt = eta*y^(1-l); the returned
     trajectory ends at the threshold crossing, located by linear
     interpolation inside the final step, so trajectory[-1] is
-    (t_hit, blow_threshold).
+    (t_hit, blow_threshold).  Raises RuntimeError when a step fails to raise y.
     """
     if not prob.psi0 < blow_threshold < math.inf:
         raise ValueError(
@@ -132,6 +134,9 @@ def integrate_comparison(
         k3 = abs(y + 0.5 * dt * k2) ** l - c
         k4 = abs(y + dt * k3) ** l - c
         y_new = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not y_new > y:  # also catches NaN
+            raise RuntimeError(f"integration of y' = |y|^l - c stalled at t={t}, y={y}: "
+                               f"the step dt={dt:.3g} does not raise y")
         t_new = t + dt
         if y_new >= blow_threshold:
             t_hit = t + (blow_threshold - y) * dt / (y_new - y)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -176,6 +177,7 @@ def test_oracle_rejects_bad_problem(capsys):
     (["--threshold", "0"], "blow_threshold must exceed psi0"),
     (["--threshold", "inf"], "blow_threshold must exceed psi0"),
     (["--tol", "inf"], "tol must be positive and finite"),
+    (["--threshold", "1"], "blow_threshold must exceed psi0"),
 ])
 def test_oracle_rejects_bad_tolerance_and_threshold(tmp_path, capsys, extra, fragment):
     path = tmp_path / "t.csv"
@@ -183,8 +185,18 @@ def test_oracle_rejects_bad_tolerance_and_threshold(tmp_path, capsys, extra, fra
         ["oracle", "--l", "2", "--c", "1", "--psi0", "2", "--trajectory", str(path)]
         + extra
     ) == 2
-    assert fragment in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert fragment in captured.err
+    assert captured.out == ""
     assert not path.exists()
+
+
+def test_oracle_threshold_needs_trajectory(capsys):
+    assert cli.main(["oracle", "--l", "2", "--c", "1", "--psi0", "2", "--threshold", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "--threshold needs --trajectory" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -457,3 +469,26 @@ def test_python_dash_m_invocation():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    """classify, simulate and scan run without loading scipy; only the
+    oracle's quadrature imports it, on its first call."""
+    cfg = write_sim_config(tmp_path / "cfg.json", mesh={"n_r": 9, "n_theta": 8}, t_end=0.05)
+    child = textwrap.dedent(f"""
+        import sys
+        import kwlab, kwlab.cli
+        from kwlab import cli
+        assert cli.main(["classify", "--gamma", "1", "--p", "3"]) == 0
+        assert cli.main(["simulate", {str(cfg)!r}, {str(tmp_path / "sim")!r}]) == 0
+        assert cli.main(["scan", "--gamma", "1", "--alpha", "1", "--m", "2",
+                         "--axis1", "p:2:5:2", "--axis2", "q:2:5:2",
+                         "--mode", "ClassifyAndSimulate",
+                         "--out", {str(tmp_path / "scan.csv")!r}]) == 0
+        loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+        assert not loaded, loaded[:3]
+        assert cli.main(["oracle", "--l", "2", "--c", "1", "--psi0", "2"]) == 0
+    """)
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "T_m = 0.54930614433405478"

@@ -1,11 +1,15 @@
 """Scalar comparison ODE: quadrature blow-up time vs direct integration."""
 import math
+import resource
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import solve_ivp
 
-from kwlab import oracle
 from kwlab.oracle import OdeProblem, blowup_time, integrate_comparison
 
 # closed forms: int_{psi0}^inf dtau/tau^l = psi0^(1-l)/(l-1), and for
@@ -166,7 +170,7 @@ def test_blowup_time_raises_when_quadrature_fails(monkeypatch):
     def failing_quad(*args, **kwargs):
         return 1.0, 1e-3, {}, "The maximum number of subdivisions (200) has been achieved."
 
-    monkeypatch.setattr(oracle, "quad", failing_quad)
+    monkeypatch.setattr(scipy.integrate, "quad", failing_quad)
     with pytest.raises(RuntimeError, match="quadrature of T_m failed.*subdivisions"):
         blowup_time(OdeProblem(l=2.0, c=1.0, psi0=2.0))
 
@@ -202,6 +206,38 @@ def reference_rk4(prob, blow_threshold=1e6, eta=1e-3):
 def test_integrate_matches_reference_loop(l, c, psi0, threshold):
     prob = OdeProblem(l=l, c=c, psi0=psi0)
     assert integrate_comparison(prob, threshold) == reference_rk4(prob, threshold)
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_integrate_raises_when_a_step_stalls(tmp_path):
+    """A step that leaves y where it was (y^l - c near eps, or a tiny eta)
+    must raise, not loop forever; through the CLI that is exit 3 with
+    nothing on stdout.  The child's time and address space are capped so a
+    hang fails the test instead of growing the trajectory without bound."""
+    child = textwrap.dedent(f"""
+        import math
+        from kwlab import cli
+        from kwlab.oracle import OdeProblem, integrate_comparison
+        for prob, eta in ((OdeProblem(l=2, c=1, psi0=math.nextafter(1.0, 2.0)), 1e-3),
+                          (OdeProblem(l=2, c=0, psi0=1), 1e-17)):
+            try:
+                integrate_comparison(prob, eta=eta)
+            except RuntimeError as exc:
+                assert "stalled" in str(exc), exc
+            else:
+                raise AssertionError(f"no RuntimeError for {{prob}}, eta={{eta}}")
+        assert cli.main(["oracle", "--l", "2", "--c", "1", "--psi0", "1.0000000000000002",
+                         "--tol", "4", "--trajectory", {str(tmp_path / "t.csv")!r}]) == 3
+    """)
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=5, preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numerical failure: integration of y' = |y|^l - c stalled")
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_hitting_time_exact_solution():
