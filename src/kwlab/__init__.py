@@ -14,21 +14,17 @@ The package has three layers:
 """
 
 from .functionals import (
-    K,
     REPORT_COLUMNS,
     EnergyReport,
     LyapunovConfig,
     State,
     default_k,
     dissipation_rate,
-    energy_E,
     energy_identity_residual,
-    lyapunov_Z,
     make_report,
-    potential_J,
 )
 from .geometry import AnnulusMesh, build_annulus
-from .model import AssumptionReport, ModelParams, check_assumptions
+from .model import ModelParams
 from .oracle import OdeProblem, blowup_time, integrate_comparison
 from .regimes import (
     VERDICTS,
@@ -49,11 +45,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnulusMesh",
-    "AssumptionReport",
     "BlowupReport",
     "CriticalExponents",
     "EnergyReport",
-    "K",
     "LyapunovConfig",
     "ModelParams",
     "OdeProblem",
@@ -64,18 +58,14 @@ __all__ = [
     "VERDICTS",
     "blowup_time",
     "build_annulus",
-    "check_assumptions",
     "classify",
     "critical_exponents",
     "default_k",
     "dissipation_rate",
-    "energy_E",
     "energy_identity_residual",
     "integrate_comparison",
-    "lyapunov_Z",
     "make_report",
     "negative_energy_data",
-    "potential_J",
     "simulate",
     "simulate_batch",
 ]

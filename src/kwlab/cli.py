@@ -174,10 +174,16 @@ def _scan_cell(
     spec: ScanSpec, v1: float, v2: float
 ) -> tuple[regimes.RegimeVerdict, solver.SimConfig | None]:
     """Classify one cell; also return its simulation config when the scan
-    simulates it."""
-    params = dataclasses.replace(
-        spec.base, **{spec.axis1[0]: v1, spec.axis2[0]: v2}
-    )
+    simulates it.  A cell on an m (or mu) axis re-derives m_tilde (mu_tilde)
+    when the base holds the default min(2, m); a base's own value is kept."""
+    changes = {spec.axis1[0]: v1, spec.axis2[0]: v2}
+    for name in ("m", "mu"):
+        tilde = f"{name}_tilde"
+        if name in changes and tilde not in changes and (
+            getattr(spec.base, tilde) == min(2.0, getattr(spec.base, name))
+        ):
+            changes[tilde] = None
+    params = dataclasses.replace(spec.base, **changes)
     verdict = regimes.classify(params)
     cfg = None
     if (
@@ -248,16 +254,18 @@ def run_oracle(
 ) -> float:
     """Print the blow-up time; optionally also integrate and dump (t, y).
 
-    Prints nothing unless every step succeeds."""
+    Prints nothing unless every step succeeds; the integration runs first,
+    so a stalled RK4 step is reported even where T_m would be refused."""
     if blow_threshold is not None and trajectory_path is None:
         raise ValueError("--threshold needs --trajectory")
     prob = oracle_mod.OdeProblem(l=l, c=c, psi0=psi0)
-    t_m = oracle_mod.blowup_time(prob, tol)
-    out = [f"T_m = {fmt_json_float(t_m)}"]
     if trajectory_path is not None:
         traj = oracle_mod.integrate_comparison(
             prob, 1e6 if blow_threshold is None else blow_threshold
         )
+    t_m = oracle_mod.blowup_time(prob, tol)
+    out = [f"T_m = {fmt_json_float(t_m)}"]
+    if trajectory_path is not None:
         lines = ["t,y"]
         lines += [f"{fmt_csv_float(t)},{fmt_csv_float(y)}" for t, y in traj]
         Path(trajectory_path).write_text("\n".join(lines) + "\n")

@@ -24,17 +24,13 @@ import numpy as np
 
 from . import geometry
 from .geometry import AnnulusMesh, integrate_boundary, integrate_interior
-from .model import ModelParams, abs_power, damping_P, damping_Q
+from .model import ModelParams, _Plan
 
 __all__ = [
     "State",
     "EnergyReport",
     "LyapunovConfig",
     "REPORT_COLUMNS",
-    "potential_J",
-    "energy_E",
-    "K",
-    "lyapunov_Z",
     "default_k",
     "dissipation_rate",
     "energy_identity_residual",
@@ -123,50 +119,25 @@ def _phase_parts(mesh: AnnulusMesh, state: State) -> tuple[float, float, float, 
     return kin, grad_omega, grad_gamma, kin + grad_omega + grad_gamma + trace_sq
 
 
-def _source_norms(mesh: AnnulusMesh, u: np.ndarray, params: ModelParams) -> tuple[float, float]:
+def _source_norms(mesh: AnnulusMesh, u: np.ndarray, plan: _Plan) -> tuple[float, float]:
     """(∫|u|^p, ∫_circle |u|^q): the source norms read by J and by the
     LpNorm monitor.  The free-circle row keeps its row axis while the
     exponent acts on it, so per-cell exponents, shaped (n_cells, 1, 1),
     broadcast over a stack."""
     return (
-        integrate_interior(mesh, abs_power(np.abs(u), params.p)),
-        integrate_boundary(mesh, abs_power(np.abs(u[..., -1:, :]), params.q)[..., 0, :]),
+        integrate_interior(mesh, plan.lp(np.abs(u))),
+        integrate_boundary(mesh, plan.lq(np.abs(u[..., -1:, :]))[..., 0, :]),
     )
 
 
-def _source_terms(params: ModelParams, lp: float, lq: float) -> tuple[float, float]:
-    """The two summands (gamma/p) lp and (delta/q) lq of J.  A source whose
-    weight is zero contributes exactly 0.0, whatever its norm."""
+def _source_terms(plan: _Plan, lp: float, lq: float) -> tuple[float, float]:
+    """The two summands (gamma/p) lp and (delta/q) lq of J.  A source that is
+    off contributes exactly 0.0, whatever its norm."""
+    f, g = plan.f, plan.g
     return (
-        (params.gamma / params.p) * lp if params.gamma != 0.0 else 0.0,
-        (params.delta / params.q) * lq if params.delta != 0.0 else 0.0,
+        (f.weight / f.e) * lp if f.on else 0.0,
+        (g.weight / g.e) * lq if g.on else 0.0,
     )
-
-
-def potential_J(mesh: AnnulusMesh, state: State, params: ModelParams) -> float:
-    """(gamma/p)*∫|u|^p + (delta/q)*∫_circle |u|^q; nonnegative."""
-    return make_report(mesh, state, params).J
-
-
-def energy_E(mesh: AnnulusMesh, state: State, params: ModelParams) -> float:
-    """Total energy; exactly conserved by the semi-discrete flow when damping
-    and sources are off."""
-    return make_report(mesh, state, params).E
-
-
-def K(mesh: AnnulusMesh, state: State, params: ModelParams) -> float:
-    """-E, the same value make_report stores."""
-    return make_report(mesh, state, params).K
-
-
-def lyapunov_Z(
-    mesh: AnnulusMesh, state: State, params: ModelParams, cfg: LyapunovConfig
-) -> float:
-    """K^(1-k) + omega*(u', u)_{H0}; defined only while K > 0."""
-    z_val = make_report(mesh, state, params, cfg).Z
-    if z_val is None:
-        raise ValueError("Z undefined: energy not negative")
-    return z_val
 
 
 def default_k(params: ModelParams) -> LyapunovConfig:
@@ -203,12 +174,13 @@ def default_k(params: ModelParams) -> LyapunovConfig:
 def dissipation_rate(mesh: AnnulusMesh, state: State, params: ModelParams) -> float:
     """∫ P(u')u' + ∫_circle Q(u')u'; each summand is pointwise >= 0, so the
     result is exactly nonnegative."""
+    P, Q = params._plan.P, params._plan.Q
     total = 0.0
-    if params.alpha != 0.0:
-        total += integrate_interior(mesh, damping_P(params, state.v) * state.v)
-    if params.beta != 0.0:
+    if P.on:
+        total += integrate_interior(mesh, P(state.v) * state.v)
+    if Q.on:
         v_last = state.v[..., -1, :]
-        total += integrate_boundary(mesh, damping_Q(params, v_last) * v_last)
+        total += integrate_boundary(mesh, Q(v_last) * v_last)
     return total
 
 
@@ -237,15 +209,15 @@ def make_report(
 ) -> EnergyReport:
     """Evaluate every monitored functional at one snapshot.
 
-    This is the one place J, E, K and Z are computed; potential_J, energy_E,
-    K and lyapunov_Z read the fields of this report.  Z is filled only when a
-    Lyapunov config is supplied and K > 0; the identity residual is measured
-    against `prev` (0 for the first report).
+    This is the one place J, E, K and Z are computed.  Z is filled only when
+    a Lyapunov config is supplied and K > 0; the identity residual is
+    measured against `prev` (0 for the first report).
     """
     u, v = state.u, state.v
-    lp, lq = _source_norms(mesh, u, params)
+    plan = params._plan
+    lp, lq = _source_norms(mesh, u, plan)
     kin, grad_omega, grad_gamma, phase_sq = _phase_parts(mesh, state)
-    j_interior, j_boundary = _source_terms(params, lp, lq)
+    j_interior, j_boundary = _source_terms(plan, lp, lq)
     j_val = j_interior + j_boundary
     e_val = 0.5 * kin + 0.5 * grad_omega + 0.5 * grad_gamma - j_val
     k_val = -e_val

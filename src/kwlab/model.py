@@ -1,4 +1,4 @@
-"""Model parameters, damping/source nonlinearities and structural checks.
+"""Model parameters and the plan that evaluates the damping/source nonlinearities.
 
 The system under study is a wave equation on a domain whose free boundary
 piece carries its own kinetic equation:
@@ -14,30 +14,24 @@ The four nonlinear terms share one form, weight*(h(v, e) + w2*h(v, e2)) with
 h(v, e) = |v|^{e-2}v: the dampings P = (alpha, m, a, mt) and Q = (beta, mu,
 b, qt), and the sources f = (gamma, p) and g = (delta, q) with w2 = 0.  The
 derivatives P' and Q' that the implicit damping kick needs take the same
-form with h' = (e-1)|v|^{e-2}.  _term evaluates it once for all six; a zero
-weight gives exactly zero and a zero w2 drops the second summand.  |v| and
-sign(v) are taken once per term and shared by both summands.
+form with h' = (e-1)|v|^{e-2}.  A plan (_Plan) resolves each term's branches
+once: whether its weight is zero (the term is off and evaluates to zeros),
+whether w2 is zero (no second summand), and for each summand whether its
+exponent is the number 2 (then h(v) = v).  The exponents NumPy's ** takes by
+a shortcut are found once too (_Power).  The solver builds a plan when a
+stack of cells forms; a single record's plan, ModelParams._plan, is built on
+first use.  |v| and sign(v) are taken once per evaluation and shared by both
+summands.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
-from . import regimes
-
-__all__ = [
-    "ModelParams",
-    "AssumptionReport",
-    "damping_P",
-    "damping_Q",
-    "damping_P_prime",
-    "damping_Q_prime",
-    "source_f",
-    "source_g",
-    "check_assumptions",
-]
+__all__ = ["ModelParams"]
 
 
 @dataclass(frozen=True)
@@ -96,16 +90,11 @@ class ModelParams:
     def field_names(cls) -> tuple[str, ...]:
         return tuple(f.name for f in fields(cls))
 
-
-def differs(x, value) -> bool:
-    """x != value, for a parameter held as a float or as one value per cell.
-
-    A stack of cells holds a parameter as an array only where its cells
-    disagree on it, so an array differs from any single value; the cells of
-    a stack agree on which weights are zero, so an array weight is nonzero
-    in every cell.
-    """
-    return isinstance(x, np.ndarray) or x != value
+    @cached_property
+    def _plan(self) -> _Plan:
+        """The record's terms, resolved on first use; construction stays
+        cheap for the records that are only classified."""
+        return _Plan([self])
 
 
 # NumPy's ** evaluates these scalar exponents by reciprocal, ones, sqrt,
@@ -113,114 +102,103 @@ def differs(x, value) -> bool:
 _SHORTCUT_EXPONENTS = (-1.0, 0.0, 0.5, 1.0, 2.0)
 
 
-def abs_power(abs_v, s):
-    """abs_v**s for abs_v = |v| and s a float or one exponent per cell.
+class _Power:
+    """x**s for x >= 0 and a fixed exponent s, a float or one value per cell.
 
-    A cell whose exponent NumPy takes by a shortcut is raised on its own with
-    a float exponent, so each cell's bits are those of its own field.
-    """
-    out = abs_v ** s
-    if isinstance(s, np.ndarray):
-        for i, s_cell in enumerate(s.flat):
-            if s_cell in _SHORTCUT_EXPONENTS:
-                out[i] = abs_v[i] ** float(s_cell)
-    return out
-
-
-def _term(weight, e, weight2, e2, v, prime=False):
-    """weight*(h(v, e) + weight2*h(v, e2)), h the odd power or, for prime, its
-    derivative (see the module docstring); |v| and sign(v) are taken only if
-    read.  An exponent array (one value per cell) takes the general formula."""
-    if not differs(weight, 0.0):
-        return np.zeros_like(np.asarray(v, dtype=float)) if np.ndim(v) else 0.0
-    v = np.asarray(v, dtype=float)
-    second = differs(weight2, 0.0)
-    signed = not prime and (differs(e, 2.0) or (second and differs(e2, 2.0)))
-    abs_v = np.abs(v) if prime or signed else None
-    sign_v = np.sign(v) if signed else None
-
-    def h(s):
-        if prime:  # inf at v = 0 when s < 2; the prime callers silence it
-            return (s - 1.0) * abs_power(abs_v, s - 2.0)
-        if not differs(s, 2.0):
-            return v + 0.0  # sign(v)*|v|**1.0 exactly, including -0.0 -> +0.0
-        return sign_v * abs_power(abs_v, s - 1.0)
-
-    out = h(e)
-    if second:
-        out = out + weight2 * h(e2)
-    out = weight * out
-    return float(out) if out.ndim == 0 else out
-
-
-def damping_P(params: ModelParams, v):
-    """Interior damping alpha*(a|v|^{m_tilde-2}v + |v|^{m-2}v); odd, nondecreasing."""
-    return _term(params.alpha, params.m, params.a, params.m_tilde, v)
-
-
-def damping_Q(params: ModelParams, v):
-    """Boundary damping beta*(b|v|^{mu_tilde-2}v + |v|^{mu-2}v)."""
-    return _term(params.beta, params.mu, params.b, params.mu_tilde, v)
-
-
-def damping_P_prime(params: ModelParams, v):
-    """dP/dv = alpha*(a(m_tilde-1)|v|^{m_tilde-2} + (m-1)|v|^{m-2}) >= 0."""
-    with np.errstate(divide="ignore"):
-        return _term(params.alpha, params.m, params.a, params.m_tilde, v, prime=True)
-
-
-def damping_Q_prime(params: ModelParams, v):
-    """dQ/dv = beta*(b(mu_tilde-1)|v|^{mu_tilde-2} + (mu-1)|v|^{mu-2}) >= 0."""
-    with np.errstate(divide="ignore"):
-        return _term(params.beta, params.mu, params.b, params.mu_tilde, v, prime=True)
-
-
-def source_f(params: ModelParams, u):
-    """Interior source gamma * |u|^{p-2} u."""
-    return _term(params.gamma, params.p, 0.0, None, u)
-
-
-def source_g(params: ModelParams, u):
-    """Boundary source delta * |u|^{q-2} u."""
-    return _term(params.delta, params.q, 0.0, None, u)
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Which structural hypotheses the parameter record realizes.
-
-    local_theory: the local-theory package (parameter constraints + growth
-    bounds), i.e. regimes.wellposed_ok.
-    a6: the extra subcriticality giving uniqueness in high dimension.
-    f1/g1: superlinear source lower bounds f(u)u - 2F(u) >= gamma0|u|^p - gamma1
-    (resp. delta0, delta1, exponent q); for pure powers the sharp constants
-    are gamma0 = gamma(1 - 2/p), gamma1 = 0 (and the boundary analogues).
-    g2: boundary-source homogeneity g(u)u >= q_bar G(u) >= 0 with q_bar = q.
+    A cell whose exponent NumPy takes by a shortcut is listed once and raised
+    on its own with a float exponent, so each cell's bits are those of its
+    own field.
     """
 
-    local_theory: bool
-    a6: bool
-    f1: bool
-    g1: bool
-    g2: bool
-    gamma0: float
-    gamma1: float
-    delta0: float
-    delta1: float
-    q_bar: float
+    __slots__ = ("s", "cells")
+
+    def __init__(self, s):
+        self.s = s
+        self.cells = ([(i, c) for i, c in enumerate(s.ravel().tolist()) if c in _SHORTCUT_EXPONENTS]
+                      if isinstance(s, np.ndarray) else [])
+
+    def __call__(self, x):
+        out = x ** self.s
+        for i, s_cell in self.cells:
+            out[i] = x[i] ** s_cell
+        return out
 
 
-def check_assumptions(params: ModelParams) -> AssumptionReport:
-    """Evaluate the structural hypotheses for the pure-power model family."""
-    return AssumptionReport(
-        local_theory=regimes.wellposed_ok(params),
-        a6=regimes.uniqueness_extra_ok(params),
-        f1=params.gamma > 0 and params.p > 2,
-        g1=params.delta > 0 and params.q > 2,
-        g2=params.q > 2,
-        gamma0=params.gamma * (1.0 - 2.0 / params.p),
-        gamma1=0.0,
-        delta0=params.delta * (1.0 - 2.0 / params.q),
-        delta1=0.0,
-        q_bar=params.q,
-    )
+class _Term:
+    """weight*(h(v, e) + weight2*h(v, e2)), h the odd power (see the module
+    docstring), with its branches resolved at construction.
+
+    A zero weight makes the term off: it evaluates to zeros.  A zero weight2
+    drops the second summand.  A summand whose exponent is the number 2 is
+    h(v) = v; the others raise |v| through a _Power.  `linear` holds when the
+    term is off or every summand is h(v) = v, so the term is weight*(1 +
+    weight2)*v.
+    """
+
+    __slots__ = ("on", "second", "weight", "e", "weight2", "linear", "_powers", "_slopes")
+
+    def __init__(self, weight, e, weight2=0.0, e2=None):
+        self.on = isinstance(weight, np.ndarray) or weight != 0.0
+        self.second = isinstance(weight2, np.ndarray) or weight2 != 0.0
+        self.weight, self.e, self.weight2 = weight, e, weight2
+        exponents = (e, e2) if self.second else (e,)
+        # None where h(v) = v (an exponent array is never the number 2), else
+        # |v|**(s - 1), to be signed
+        self._powers = [None if not isinstance(s, np.ndarray) and s == 2.0
+                        else _Power(s - 1.0) for s in exponents]
+        self.linear = not self.on or self._powers.count(None) == len(exponents)
+        # h'(v) = (s - 1)|v|**(s - 2), inf at v = 0 when s < 2
+        self._slopes = [(s - 1.0, _Power(s - 2.0)) for s in exponents]
+
+    def __call__(self, v):
+        if not self.on:
+            return np.zeros_like(v)
+        if not self.linear:
+            abs_v, sign_v = np.abs(v), np.sign(v)
+        # v + 0.0 is sign(v)*|v|**1.0 exactly, including -0.0 -> +0.0
+        return self._sum([v + 0.0 if power is None else sign_v * power(abs_v)
+                          for power in self._powers])
+
+    def prime(self, v):
+        """The derivative; 0**(s - 2) divides by zero at v = 0 when s < 2, and
+        the caller's np.errstate decides whether that warns."""
+        if not self.on:
+            return np.zeros_like(v)
+        abs_v = np.abs(v)
+        return self._sum([c * power(abs_v) for c, power in self._slopes])
+
+    def _sum(self, h):
+        """weight*(h[0] + weight2*h[1]), the second summand only if present."""
+        out = h[0] if len(h) == 1 else h[0] + self.weight2 * h[1]
+        return self.weight * out
+
+
+class _Plan:
+    """The four terms of a stack of cells, each resolved once (see _Term).
+
+    A parameter on which the cells differ is held as one value per cell,
+    shaped (n_cells, 1, 1); the cells of a stack agree on which weights are
+    zero.  P = (alpha, m, a, m_tilde) and Q = (beta, mu, b, mu_tilde) are the
+    dampings, f = (gamma, p) and g = (delta, q) the sources, and lp, lq the
+    powers |u|**p and |u|**q of the source norms.  key is what cells must
+    share to be stacked: which weights are zero and whether the damping is
+    linear.  lin is left to the solver, which sets the closed-form kick's
+    coefficients on its mesh.
+    """
+
+    def __init__(self, records: list[ModelParams]):
+        def field(name):
+            values = [getattr(par, name) for par in records]
+            if all(x == values[0] for x in values):
+                return values[0]
+            return np.array(values, dtype=float)[:, None, None]
+
+        self.P = _Term(field("alpha"), field("m"), field("a"), field("m_tilde"))
+        self.Q = _Term(field("beta"), field("mu"), field("b"), field("mu_tilde"))
+        self.f = _Term(field("gamma"), field("p"))
+        self.g = _Term(field("delta"), field("q"))
+        self.lp, self.lq = _Power(self.f.e), _Power(self.g.e)
+        self.damped = self.P.on or self.Q.on
+        self.key = (self.P.on, self.Q.on, self.f.on, self.g.on, self.P.second,
+                    self.Q.second, self.P.linear and self.Q.linear)
+        self.lin = None

@@ -21,13 +21,17 @@ Quadrature route (blowup_time): w = tau^(1-l) makes T_m a proper integral,
     T_m = 1/(l-1) * integral_0^(psi0^(1-l)) dw / (1 - c*w^k),    k = l/(l-1),
 
 whose integrand lies in [1, 1/(1 - c*psi0^(-l))], finite as psi0 > c^(1/l).
-One QUADPACK call with absolute budget tol*(l-1)/2 leaves tol/2 on T_m, and
-c*w^k is formed as (c^(1/k)*w)^k, whose base stays below 1, so no power
-overflows.  RuntimeError replaces a T_m that cannot be vouched for: on a
-QUADPACK failure or an error estimate over budget, and near the edge
-psi0 -> c^(1/l), where T_m diverges logarithmically, once a rounding of psi0
-(which moves T_m by about eps*psi0^(1-l)/(1 - c*psi0^(-l))) or of the upper
-limit (that over l-1) moves T_m by more than tol/4.
+One QUADPACK call with absolute budget min(tol, 1e-10)*(l-1)/2 leaves at most
+tol/2 on T_m, and c*w^k is formed as (c^(1/k)*w)^k, whose base stays below
+1, so no power overflows.  A tol above the default 1e-10 relaxes only the
+conditioning guard below, never the quadrature: near the edge a loose budget
+let QUADPACK stop on a coarse partition that misses the integrand's spike at
+the upper limit (tol 10 returned 4.549 for T_m = 18.368).  RuntimeError
+replaces a T_m that cannot be vouched for: on a QUADPACK failure or an error
+estimate over budget, and near the edge psi0 -> c^(1/l), where T_m diverges
+logarithmically, once a rounding of psi0 (which moves T_m by about
+eps*psi0^(1-l)/(1 - c*psi0^(-l))) or of the upper limit (that over l-1)
+moves T_m by more than tol/4.
 
 Integration route (integrate_comparison): explicit RK4 with the step law
 dt = eta * y^(1-l), which keeps the relative growth per step bounded as
@@ -42,6 +46,8 @@ import math
 from dataclasses import dataclass
 
 __all__ = ["OdeProblem", "blowup_time", "integrate_comparison"]
+
+_DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,7 @@ class OdeProblem:
             )
 
 
-def blowup_time(prob: OdeProblem, tol: float = 1e-10) -> float:
+def blowup_time(prob: OdeProblem, tol: float = _DEFAULT_TOL) -> float:
     """T_m(psi0) = integral_{psi0}^inf dtau/(tau^l - c), abs error <= tol.
 
     Raises RuntimeError when T_m is too ill-conditioned or quad misses tol.
@@ -87,7 +93,7 @@ def blowup_time(prob: OdeProblem, tol: float = 1e-10) -> float:
     if not shift <= 0.25 * tol:
         raise RuntimeError(f"T_m is too ill-conditioned for l={l}, c={c}, psi0={psi0}: "
                            f"one rounding moves it by {shift:.3g}, over tol/4")
-    budget = 0.5 * tol * (l - 1.0)
+    budget = 0.5 * min(tol, _DEFAULT_TOL) * (l - 1.0)
     from scipy.integrate import quad  # the only scipy use in kwlab
 
     # full_output=1 appends QUADPACK's message only when it reports a failure

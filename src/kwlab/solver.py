@@ -45,36 +45,29 @@ then hold one value per cell, and a parameter on which the cells differ is
 an (n_cells, 1, 1) array; a 2-D input is computed exactly as before.
 simulate_batch steps the cells that share a mesh and their kernel branches
 (which weights are zero, whether the kick has a closed form) as one stack in
-lockstep.  The stack's parameter record resolves those branches once, when
-the stack forms and at each compaction.  Each cell keeps its own dt, clean
-streak and step count; a rollback is a masked where over the cell axis, and
-a cell that finishes (blow-up detected, DtFloor, or t_end) is retired: its
-rows are compacted out of the arrays.  No operation mixes cells, and an
-exponent NumPy takes by a shortcut is applied cell by cell (model.abs_power),
-so each cell's result is bitwise the one it gets alone; simulate is the batch
-of one.
+lockstep.  The kernels read the stack's plan (model._Plan, built by
+_stack_params when the stack forms and at each compaction), which decides
+each term's branches once: a term that is off is skipped, a summand with
+exponent 2 is h(v) = v, and the cells whose exponent NumPy takes by a
+shortcut are listed once.  No kernel tests a weight or an exponent per call.
+Each cell keeps its own dt, clean streak and step count; a rollback is a
+masked where over the cell axis, and a cell that finishes (blow-up detected,
+DtFloor, or t_end) is retired: its rows are compacted out of the arrays.  No
+operation mixes cells, and a shortcut exponent is applied cell by cell, so
+each cell's result is bitwise the one it gets alone; simulate is the batch of
+one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import functionals, geometry
 from .functionals import EnergyReport, State, make_report
 from .geometry import AnnulusMesh, build_annulus
-from .model import (
-    ModelParams,
-    damping_P,
-    damping_P_prime,
-    damping_Q,
-    damping_Q_prime,
-    differs,
-    source_f,
-    source_g,
-)
+from .model import ModelParams, _Plan
 
 __all__ = [
     "StepFailure",
@@ -146,7 +139,7 @@ def negative_energy_data(
     grad_omega, grad_gamma = geometry.gradient_energy(mesh, phi)
     a_quad = 0.5 * (grad_omega + grad_gamma)
     b_src, c_src = functionals._source_terms(
-        params, *functionals._source_norms(mesh, phi, params)
+        params._plan, *functionals._source_norms(mesh, phi, params._plan)
     )
     if b_src == 0.0 and c_src == 0.0:
         raise ValueError(
@@ -197,7 +190,7 @@ def initial_state(mesh: AnnulusMesh, params: ModelParams, cfg: "SimConfig") -> S
 # the step
 
 
-def _accel(mesh: AnnulusMesh, u: np.ndarray, params: SimpleNamespace) -> np.ndarray:
+def _accel(mesh: AnnulusMesh, u: np.ndarray, plan: _Plan) -> np.ndarray:
     """Stiffness + source acceleration S(u) (damping excluded).
 
     Interior rows: laplacian + f(u).  Free-circle row: the variational
@@ -207,18 +200,18 @@ def _accel(mesh: AnnulusMesh, u: np.ndarray, params: SimpleNamespace) -> np.ndar
     outermost half cell and the row mass is r dtheta (1 + dr/2).
     """
     acc = geometry.laplacian(mesh, u)
-    if params.gamma_on:
-        f_u = source_f(params, u)
+    if plan.f.on:
+        f_u = plan.f(u)
         acc[..., 1:-1, :] += f_u[..., 1:-1, :]
         f_last = f_u[..., -1, :]
     else:
         f_last = 0.0
     half = 0.5 * mesh.dr
     boundary = -geometry.boundary_flux(mesh, u) + half * f_last
-    if params.delta_on:
+    if plan.g.on:
         # the row keeps its axis while per-cell parameters, shaped
         # (n_cells, 1, 1), act on it
-        boundary += source_g(params, u[..., -1:, :])[..., 0, :]
+        boundary += plan.g(u[..., -1:, :])[..., 0, :]
     acc[..., -1, :] = boundary / (1.0 + half) + geometry.laplace_beltrami(
         mesh, u[..., -1, :]
     )
@@ -226,41 +219,40 @@ def _accel(mesh: AnnulusMesh, u: np.ndarray, params: SimpleNamespace) -> np.ndar
     return acc
 
 
-def _free_row_mix(
-    mesh: AnnulusMesh, v: np.ndarray, params: SimpleNamespace, P, Q
-) -> np.ndarray:
+def _free_row_mix(mesh: AnnulusMesh, v: np.ndarray, plan: _Plan, prime: bool) -> np.ndarray:
     """P(v) at interior rows, the mass-scaled mix ((dr/2) P(v) + Q(v)) / (1 + dr/2)
-    on the free-circle row; Q is skipped when beta is zero.  Called with
-    (damping_P, damping_Q) for D and with their derivatives for dD/dv."""
-    d = P(params, v)
+    on the free-circle row; Q is skipped when it is off.  D for prime False,
+    dD/dv for prime True."""
+    P, Q = plan.P, plan.Q
+    d = P.prime(v) if prime else P(v)
     half = 0.5 * mesh.dr
     d_last = half * d[..., -1, :]
-    if params.beta_on:
+    if Q.on:
         # the row keeps its axis while per-cell parameters act on it
-        d_last = d_last + Q(params, v[..., -1:, :])[..., 0, :]
+        v_last = v[..., -1:, :]
+        d_last = d_last + (Q.prime(v_last) if prime else Q(v_last))[..., 0, :]
     d[..., -1, :] = d_last / (1.0 + half)
     return d
 
 
-def _damping_accel(mesh: AnnulusMesh, v: np.ndarray, params: SimpleNamespace) -> np.ndarray:
+def _damping_accel(mesh: AnnulusMesh, v: np.ndarray, plan: _Plan) -> np.ndarray:
     """Damping acceleration D(v), assembled by _free_row_mix from P and Q."""
-    return _free_row_mix(mesh, v, params, damping_P, damping_Q)
+    return _free_row_mix(mesh, v, plan, False)
 
 
-def _damping_linear_coeffs(mesh: AnnulusMesh, params: SimpleNamespace):
+def _damping_linear_coeffs(mesh: AnnulusMesh, plan: _Plan):
     """(c_interior, c_boundary_row) when D is linear, else None."""
-    for w, e, w2, e2 in ((params.alpha, params.m, params.a, params.m_tilde),
-                         (params.beta, params.mu, params.b, params.mu_tilde)):
-        if differs(w, 0.0) and (differs(e, 2.0) or (differs(w2, 0.0) and differs(e2, 2.0))):
-            return None
-    c_int = params.alpha * (1.0 + params.a)
-    c_bnd = params.beta * (1.0 + params.b)
+    P, Q = plan.P, plan.Q
+    if not (P.linear and Q.linear):
+        return None
+    c_int = P.weight * (1.0 + P.weight2)
+    c_bnd = Q.weight * (1.0 + Q.weight2)
     half = 0.5 * mesh.dr
     return c_int, (half * c_int + c_bnd) / (1.0 + half)
 
 
 def _solve_damped_kick(
-    mesh: AnnulusMesh, b: np.ndarray, kappa: float, params: SimpleNamespace
+    mesh: AnnulusMesh, b: np.ndarray, kappa: float, plan: _Plan
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Solve x + kappa*D(x) = b pointwise; returns x and D(x).
 
@@ -270,12 +262,12 @@ def _solve_damped_kick(
     end of its own bracket, so the bracket test would bisect it away, and
     because they stay put no cell of a stack depends on another.  D(x) is
     the last residual's, or None when the kick evaluated none (closed form,
-    no damping).  params is a stack's record (_stack_params).
+    no damping).  plan is a stack's plan (_stack_params).
     """
-    if not params.damped:
+    if not plan.damped:
         return b.copy(), None
-    if params.lin is not None:
-        c_int, c_bnd = params.lin
+    if plan.lin is not None:
+        c_int, c_bnd = plan.lin
         x = b / (1.0 + kappa * c_int)
         x[..., -1:, :] = b[..., -1:, :] / (1.0 + kappa * c_bnd)
         return x, None
@@ -283,10 +275,11 @@ def _solve_damped_kick(
     lo, hi = np.minimum(b, 0.0), np.maximum(b, 0.0)
     x = b.copy()
     tol = 1e-14 * (1.0 + np.abs(b))
-    # the safeguard and the final residual check catch non-finite values
-    with np.errstate(invalid="ignore", over="ignore"):
+    # the safeguard and the final residual check catch non-finite values,
+    # the slope's inf at v = 0 included
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for _ in range(120):
-            d = _damping_accel(mesh, x, params)
+            d = _damping_accel(mesh, x, plan)
             g = x + kappa * d - b
             done = np.abs(g) <= tol
             if done.all():
@@ -296,11 +289,11 @@ def _solve_damped_kick(
             hi = np.where(pos, x, hi)
             lo = np.where(pos, lo, x)
             # dD/dv is inf at 0 when an exponent is below 2; such steps bisect
-            slope = _free_row_mix(mesh, x, params, damping_P_prime, damping_Q_prime)
+            slope = _free_row_mix(mesh, x, plan, True)
             x_new = x - g / (1.0 + kappa * slope)
             inside = (x_new > lo) & (x_new < hi)
             x = np.where(done, x, np.where(inside, x_new, 0.5 * (lo + hi)))
-    d = _damping_accel(mesh, x, params)
+    d = _damping_accel(mesh, x, plan)
     resid = np.abs(x + kappa * d - b)
     unconverged = ~(resid <= 1e3 * tol)
     if not unconverged.any():
@@ -325,7 +318,7 @@ def step(
     fresh State and S of its u, which the next step can take as its s_u.
     Neither s_u nor the state is modified.  On a stack of cells, dt and
     state.t hold one value per cell.  params is a ModelParams or a stack's
-    record (_stack_params).
+    plan (_stack_params).
     """
     if isinstance(dt, np.ndarray):
         valid = ((dt > 0) & (dt < math.inf)).all()
@@ -335,21 +328,20 @@ def step(
         dt_grid = dt
     if not valid:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if isinstance(params, ModelParams):
-        params = _stack_params(mesh, [params])
+    plan = _stack_params(mesh, [params]) if isinstance(params, ModelParams) else params
     kappa = 0.5 * dt_grid
     if s_u is None:
-        s_u = _accel(mesh, state.u, params)
+        s_u = _accel(mesh, state.u, plan)
     b = state.v + kappa * s_u
     b[..., 0, :] = 0.0
-    v_half, d_half = _solve_damped_kick(mesh, b, kappa, params)
+    v_half, d_half = _solve_damped_kick(mesh, b, kappa, plan)
     u_new = state.u + dt_grid * v_half
     u_new[..., 0, :] = 0.0
-    s_new = _accel(mesh, u_new, params)
+    s_new = _accel(mesh, u_new, plan)
     v_new = v_half + kappa * s_new
-    if params.damped:
+    if plan.damped:
         if d_half is None:
-            d_half = _damping_accel(mesh, v_half, params)
+            d_half = _damping_accel(mesh, v_half, plan)
         v_new = v_new - kappa * d_half
     v_new[..., 0, :] = 0.0
     return State(u=u_new, v=v_new, t=state.t + dt), s_new
@@ -486,7 +478,7 @@ class BlowupReport:
 
 
 def _crossing(
-    mesh: AnnulusMesh, state: State, params: ModelParams, threshold: float
+    mesh: AnnulusMesh, state: State, plan: _Plan, threshold: float
 ) -> str | None:
     """Name of the triggered monitor, or None.  Non-finite counts as crossed.
 
@@ -496,7 +488,7 @@ def _crossing(
     calm = functionals._phase_parts(mesh, state)[3] < threshold * threshold
     lp_calm = True
     if calm.any() if isinstance(calm, np.ndarray) else calm:
-        lp, lq = functionals._source_norms(mesh, state.u, params)
+        lp, lq = functionals._source_norms(mesh, state.u, plan)
         lp_calm = lp + lq < threshold
     quiet = calm & lp_calm
     if quiet.all() if isinstance(quiet, np.ndarray) else quiet:
@@ -505,23 +497,12 @@ def _crossing(
     return hit[()] if hit.ndim == 0 else hit
 
 
-def _stack_params(mesh: AnnulusMesh, records: list[ModelParams]) -> SimpleNamespace:
-    """One parameter record for a stack (a field the cells differ on holds one
-    value per cell, shaped (n_cells, 1, 1)), with the kernels' branch flags, lin
-    (the closed-form kick's coefficients, or None) and branches, the stacking key."""
-    fields = {}
-    for name in ModelParams.field_names():
-        values = [getattr(par, name) for par in records]
-        same = all(x == values[0] for x in values)
-        fields[name] = values[0] if same else np.array(values, dtype=float)[:, None, None]
-    par = SimpleNamespace(**fields)
-    weights = (par.alpha, par.beta, par.gamma, par.delta, par.a, par.b)
-    on = tuple(differs(w, 0.0) for w in weights)
-    par.beta_on, par.gamma_on, par.delta_on = on[1:4]
-    par.damped = on[0] or par.beta_on
-    par.lin = _damping_linear_coeffs(mesh, par)
-    par.branches = on, par.lin is None
-    return par
+def _stack_params(mesh: AnnulusMesh, records: list[ModelParams]) -> _Plan:
+    """The plan of a stack of cells (model._Plan), with lin, the closed-form
+    kick's coefficients on this mesh or None."""
+    plan = _Plan(records)
+    plan.lin = _damping_linear_coeffs(mesh, plan)
+    return plan
 
 
 @dataclass(slots=True)
@@ -615,9 +596,9 @@ def _run_stack(
     v = np.stack([st.v for st in states])
     if one:
         u, v = u[0], v[0]
-    params = _stack_params(mesh, [cfg.params for cfg in cfgs])
+    plan = _stack_params(mesh, [cfg.params for cfg in cfgs])
     threshold = _cell_values([cfg.blow_threshold for cfg in cfgs], one)
-    hit = _crossing(mesh, State(u, v), params, threshold)
+    hit = _crossing(mesh, State(u, v), plan, threshold)
     if hit is not None:
         hits = [hit] if one else list(hit)
         j = next(j for j, name in enumerate(hits) if name is not None)
@@ -625,7 +606,7 @@ def _run_stack(
             f"initial data already crosses the {hits[j]} monitor "
             f"(blow_threshold={cfgs[j].blow_threshold})"
         )
-    s_u = _accel(mesh, u, params)
+    s_u = _accel(mesh, u, plan)
 
     live = cells
     while True:
@@ -641,12 +622,12 @@ def _run_stack(
             one = len(live) == 1
             if one:
                 u, v, s_u = u[0], v[0], s_u[0]
-            params = _stack_params(mesh, [c.cfg.params for c in live])
+            plan = _stack_params(mesh, [c.cfg.params for c in live])
             threshold = _cell_values([c.cfg.blow_threshold for c in live], one)
         dt_step = [min(c.dt, c.cfg.t_end - c.t) for c in live]
         state = State(u, v, _cell_values([c.t for c in live], one))
         try:
-            cand, s_cand = step(mesh, state, params, _cell_values(dt_step, one), s_u)
+            cand, s_cand = step(mesh, state, plan, _cell_values(dt_step, one), s_u)
         except StepFailure as exc:
             for i in [0] if one else np.flatnonzero(exc.cells):
                 c = live[i]
@@ -654,7 +635,7 @@ def _run_stack(
                     bracket = (c.t, c.t + dt_step[i])
                     c.finish(mesh, State(_row(u, i), _row(v, i), c.t), "DtFloor", bracket)
             continue  # the cells the failed solve spared retry the same step
-        hit = _crossing(mesh, cand, params, threshold)
+        hit = _crossing(mesh, cand, plan, threshold)
         hits = [None] * len(live) if hit is None else [hit] if one else hit
         t_new = [cand.t] if one else cand.t.tolist()
         for i, c in enumerate(live):
@@ -705,7 +686,8 @@ def simulate_batch(
             raise ValueError(f"initial u and v must have shape {shape[2:]} and be "
                              "zero on the pinned circle (row 0)")
         states.append(initial)
-        stacks.setdefault((shape, _stack_params(mesh, [cfg.params]).branches), []).append(i)
+        # the plan's key decides the kernels' branches; lin follows from it
+        stacks.setdefault((shape, cfg.params._plan.key), []).append(i)
     results = [None] * len(cfgs)
     for (shape, _), members in stacks.items():
         outcomes = _run_stack(

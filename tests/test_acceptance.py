@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from kwlab import cli
-from kwlab.functionals import energy_E
 from kwlab.geometry import build_annulus
 from kwlab.model import ModelParams
 from kwlab.oracle import OdeProblem, blowup_time, integrate_comparison

@@ -363,6 +363,42 @@ def test_scan_cells_agree_with_classify(tmp_path):
     assert len(seen) >= 2
 
 
+@pytest.mark.parametrize("axis, base", [
+    ("m:1.5:2.5:3", []),
+    ("m:1.5:2.5:3", ["--m", "1.5"]),  # the base's default tilde is 1.5
+    ("mu:1.5:2.5:3", ["--beta", "1"]),
+])
+def test_scan_axis_on_m_or_mu_rederives_the_default_tilde(tmp_path, axis, base):
+    out = tmp_path / "grid.csv"
+    argv = ["scan", "--gamma", "1", "--alpha", "1", *base,
+            "--axis1", "p:2.5:3.5:2", "--axis2", axis, "--out", str(out)]
+    assert cli.main(argv) == 0
+    name = axis.split(":")[0]
+    base_params = dict(gamma=1.0, alpha=1.0, beta=1.0 if base == ["--beta", "1"] else 0.0)
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 6
+    for row in rows:
+        p_str, e_str, verdict, fired = row.split(",")
+        want = classify(ModelParams(**base_params, p=float(p_str), **{name: float(e_str)}))
+        assert (verdict, fired) == (want.conclusion, want.fired)
+
+
+def test_scan_keeps_a_base_tilde_that_is_not_the_default(tmp_path):
+    # m_tilde = 1.8 is the base's own choice: every cell keeps it, and a cell
+    # with m below it is invalid
+    argv = ["scan", "--gamma", "1", "--alpha", "1", "--m", "3", "--m-tilde", "1.8",
+            "--axis1", "p:2.5:3.5:2", "--axis2", "m:2:3:2", "--out", None]
+    argv[-1] = str(tmp_path / "kept.csv")
+    assert cli.main(argv) == 0
+    for row in (tmp_path / "kept.csv").read_text().splitlines()[1:]:
+        p_str, m_str, verdict, fired = row.split(",")
+        want = classify(ModelParams(gamma=1.0, alpha=1.0, p=float(p_str),
+                                    m=float(m_str), m_tilde=1.8))
+        assert (verdict, fired) == (want.conclusion, want.fired)
+    argv[-3], argv[-1] = "m:1.5:3:2", str(tmp_path / "bad.csv")
+    assert cli.main(argv) == 2
+
+
 def test_scan_simulation_mode_and_determinism(tmp_path):
     argv = ["scan", "--gamma", "1", "--alpha", "1", "--m", "2",
             "--axis1", "p:3:4:2", "--axis2", "a:0:1:2",

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-import kwlab.functionals as F
 import kwlab.geometry as G
 from kwlab.functionals import (
     REPORT_COLUMNS,
@@ -12,11 +11,8 @@ from kwlab.functionals import (
     State,
     default_k,
     dissipation_rate,
-    energy_E,
     energy_identity_residual,
-    lyapunov_Z,
     make_report,
-    potential_J,
 )
 from kwlab.geometry import build_annulus
 from kwlab.model import ModelParams
@@ -44,14 +40,14 @@ def ramp_state(mesh, scale=1.0):
 
 def test_J_zero_state(mesh):
     st = State(u=np.zeros((129, 128)), v=np.zeros((129, 128)))
-    assert potential_J(mesh, st, ModelParams(gamma=1.0, p=4)) == 0.0
+    assert make_report(mesh, st, ModelParams(gamma=1.0, p=4)).J == 0.0
 
 
 def test_J_ramp_interior(mesh):
     # (1/4) int (r-1)^4 dx = (1/4) * 2pi * (1/5 + 1/6) = 11 pi / 60;
     # trapezoid error measured 1.2e-4 relative on the 129x128 grid
     st = ramp_state(mesh)
-    val = potential_J(mesh, st, ModelParams(gamma=1.0, p=4))
+    val = make_report(mesh, st, ModelParams(gamma=1.0, p=4)).J
     assert val == pytest.approx(11.0 * math.pi / 60.0, rel=2e-4)
 
 
@@ -59,14 +55,14 @@ def test_J_boundary_constant_trace(mesh):
     c = 1.7
     u = np.full((129, 128), c)
     st = State(u=u, v=np.zeros_like(u))
-    val = potential_J(mesh, st, ModelParams(gamma=0.0, delta=1.0, q=2))
+    val = make_report(mesh, st, ModelParams(gamma=0.0, delta=1.0, q=2)).J
     assert val == pytest.approx(0.5 * c * c * 4.0 * math.pi, rel=1e-12)
 
 
 def test_J_weights_scale_linearly(small_mesh):
     st = ramp_state(small_mesh)
-    one = potential_J(small_mesh, st, ModelParams(gamma=1.0, p=4))
-    three = potential_J(small_mesh, st, ModelParams(gamma=3.0, p=4))
+    one = make_report(small_mesh, st, ModelParams(gamma=1.0, p=4)).J
+    three = make_report(small_mesh, st, ModelParams(gamma=3.0, p=4)).J
     assert three == pytest.approx(3.0 * one, rel=1e-14)
 
 
@@ -76,7 +72,7 @@ def test_J_weights_scale_linearly(small_mesh):
 
 def test_E_zero_state(small_mesh):
     st = State(u=np.zeros((33, 32)), v=np.zeros((33, 32)))
-    assert energy_E(small_mesh, st, ModelParams()) == 0.0
+    assert make_report(small_mesh, st, ModelParams()).E == 0.0
 
 
 def test_E_pure_kinetic(small_mesh):
@@ -85,29 +81,29 @@ def test_E_pure_kinetic(small_mesh):
     st = State(u=np.zeros_like(v), v=v)
     # (1/2) c^2 (|annulus| + |circle|) = (1/2) c^2 (3pi + 4pi)
     want = 0.5 * c * c * 7.0 * math.pi
-    assert energy_E(small_mesh, st, ModelParams()) == pytest.approx(want, rel=1e-12)
+    assert make_report(small_mesh, st, ModelParams()).E == pytest.approx(want, rel=1e-12)
 
 
 def test_E_scaling_quadratic_quartic(small_mesh):
     """E(lam*phi) = lam^2 A - lam^4 B with A, B measured on the mesh."""
     par = ModelParams(gamma=1.0, p=4)
     phi = ramp_state(small_mesh)
-    a_quad = energy_E(small_mesh, phi, ModelParams(gamma=0.0))
-    b_src = potential_J(small_mesh, phi, par)
+    a_quad = make_report(small_mesh, phi, ModelParams(gamma=0.0)).E
+    b_src = make_report(small_mesh, phi, par).J
     for lam in (0.5, 1.0, 2.0, 3.7):
         st = ramp_state(small_mesh, scale=lam)
         want = lam**2 * a_quad - lam**4 * b_src
-        assert energy_E(small_mesh, st, par) == pytest.approx(want, rel=1e-12)
+        assert make_report(small_mesh, st, par).E == pytest.approx(want, rel=1e-12)
     # sign change past the balance point
     lam_star = math.sqrt(a_quad / b_src)
-    assert energy_E(small_mesh, ramp_state(small_mesh, 1.01 * lam_star), par) < 0.0
-    assert energy_E(small_mesh, ramp_state(small_mesh, 0.99 * lam_star), par) > 0.0
+    assert make_report(small_mesh, ramp_state(small_mesh, 1.01 * lam_star), par).E < 0.0
+    assert make_report(small_mesh, ramp_state(small_mesh, 0.99 * lam_star), par).E > 0.0
 
 
 def test_K_is_negated_E(small_mesh):
     par = ModelParams(gamma=1.0, p=4)
-    st = ramp_state(small_mesh, scale=2.0)
-    assert F.K(small_mesh, st, par) == -energy_E(small_mesh, st, par)
+    rep = make_report(small_mesh, ramp_state(small_mesh, scale=2.0), par)
+    assert rep.K == -rep.E
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +113,7 @@ def test_K_is_negated_E(small_mesh):
 def test_Z_margin_one_is_one(small_mesh):
     par = ModelParams(gamma=1.0, p=4)
     st = negative_energy_data(small_mesh, par, "ramp", margin=1.0)
-    z = lyapunov_Z(small_mesh, st, par, LyapunovConfig(k=0.25))
+    z = make_report(small_mesh, st, par, LyapunovConfig(k=0.25)).Z
     assert z == pytest.approx(1.0, abs=1e-9)
 
 
@@ -125,7 +121,7 @@ def test_Z_power_evaluation(small_mesh):
     # K = 4, k = 1/4, v = 0 -> Z = 4^(3/4) = 2*sqrt(2)
     par = ModelParams(gamma=1.0, p=4)
     st = negative_energy_data(small_mesh, par, "ramp", margin=4.0)
-    z = lyapunov_Z(small_mesh, st, par, LyapunovConfig(k=0.25))
+    z = make_report(small_mesh, st, par, LyapunovConfig(k=0.25)).Z
     assert z == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)
 
 
@@ -133,8 +129,8 @@ def test_Z_includes_pairing(small_mesh):
     par = ModelParams(gamma=1.0, p=4)
     st = negative_energy_data(small_mesh, par, "ramp", margin=1.0)
     st.v[:] = 0.01 * st.u  # small enough that the kinetic term keeps E < 0
-    z = lyapunov_Z(small_mesh, st, par, LyapunovConfig(k=0.25, omega=2.0))
-    k_val = F.K(small_mesh, st, par)
+    z = make_report(small_mesh, st, par, LyapunovConfig(k=0.25, omega=2.0)).Z
+    k_val = make_report(small_mesh, st, par).K
     pairing = G.integrate_interior(small_mesh, st.v * st.u) + G.integrate_boundary(
         small_mesh, st.v[-1] * st.u[-1]
     )
@@ -145,8 +141,7 @@ def test_Z_includes_pairing(small_mesh):
 def test_Z_requires_negative_energy(small_mesh):
     par = ModelParams(gamma=1.0, p=4)
     st = ramp_state(small_mesh, scale=0.1)  # small data, E > 0
-    with pytest.raises(ValueError, match="energy not negative"):
-        lyapunov_Z(small_mesh, st, par, LyapunovConfig(k=0.25))
+    assert make_report(small_mesh, st, par, LyapunovConfig(k=0.25)).Z is None
 
 
 @pytest.mark.parametrize("k", [0.0, 0.5, 0.7, -0.1])
@@ -334,10 +329,6 @@ def test_report_agrees_exactly_with_functionals_and_monitor(small_mesh, par):
     st.v[:] = 0.01 * st.u
     lyap = default_k(par)
     rep = make_report(small_mesh, st, par, lyap)
-    assert rep.J == potential_J(small_mesh, st, par)
-    assert rep.E == energy_E(small_mesh, st, par)
-    assert rep.K == F.K(small_mesh, st, par)
-    assert rep.Z == lyapunov_Z(small_mesh, st, par, lyap)
     # the blow-up monitor reads the same phase norm and source norms, so at
     # thresholds below, at and above each it gives the verdict the report's
     # columns give
@@ -350,4 +341,4 @@ def test_report_agrees_exactly_with_functionals_and_monitor(small_mesh, par):
             want = "LpNorm"
         else:
             want = None
-        assert _crossing(small_mesh, st, par, threshold) == want
+        assert _crossing(small_mesh, st, par._plan, threshold) == want

@@ -149,6 +149,26 @@ def test_near_edge_answers_within_tol_or_raises(n, per_decade):
     assert max(refused) < min(answered)
 
 
+@pytest.mark.parametrize("tol", [2.5, 3, 4, 6, 8, 10, 15, 20])
+def test_loose_tol_at_the_edge_answers_within_tol_or_raises(tol):
+    # one ulp above the edge a loose quadrature budget let QUADPACK stop on a
+    # coarse partition that misses the spike at the upper limit: tol 10
+    # returned 4.549 for T_m = 18.368
+    psi0 = math.nextafter(1.0, 2.0)
+    try:
+        t_m = blowup_time(OdeProblem(l=2.0, c=1.0, psi0=psi0), tol)
+    except RuntimeError:
+        return
+    assert abs(t_m - near_edge_reference(1, psi0 - 1.0)) <= tol
+
+
+def test_loose_tol_keeps_the_default_quadrature():
+    # a loose tol relaxes only the conditioning guard, so a well-conditioned
+    # query gets the default answer bit for bit
+    for prob in (OdeProblem(l=1.05, c=1.0, psi0=2.0), OdeProblem(l=2.0, c=1.0, psi0=1.01)):
+        assert blowup_time(prob, tol=0.1) == blowup_time(prob)
+
+
 @pytest.mark.parametrize(
     "prob",
     [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kwlab import solver
-from kwlab.functionals import State, energy_E, make_report
+from kwlab.functionals import State, make_report
 from kwlab.geometry import build_annulus
 from kwlab.model import ModelParams
 from kwlab.solver import (
@@ -78,10 +78,10 @@ def test_step_undamped_energy_drift_is_quadratic(mesh):
     drifts = []
     for dt in (0.01, 0.005):
         st = State(u=u0.copy(), v=np.zeros_like(u0))
-        e0 = energy_E(mesh, st, par)
+        e0 = make_report(mesh, st, par).E
         for _ in range(int(round(0.5 / dt))):
             st, _ = step(mesh, st, par, dt)
-        drifts.append(abs(energy_E(mesh, st, par) - e0))
+        drifts.append(abs(make_report(mesh, st, par).E - e0))
     assert drifts[0] < 1e-3
     assert drifts[0] / drifts[1] == pytest.approx(4.0, rel=0.1)
 
@@ -92,10 +92,10 @@ def test_step_damping_decreases_energy(mesh):
     v = 0.5 * rng.standard_normal((33, 32))
     v[0] = 0.0
     st = State(u=np.zeros((33, 32)), v=v)
-    energies = [energy_E(mesh, st, par)]
+    energies = [make_report(mesh, st, par).E]
     for _ in range(40):
         st, _ = step(mesh, st, par, 0.01)
-        energies.append(energy_E(mesh, st, par))
+        energies.append(make_report(mesh, st, par).E)
     diffs = np.diff(energies)
     assert np.all(diffs <= 1e-12)
     assert energies[-1] < 0.5 * energies[0]
@@ -247,14 +247,14 @@ def test_radial_profile_unknown(mesh):
 def test_negative_energy_data_hits_margin(mesh, margin):
     st = negative_energy_data(mesh, SOURCE_PARAMS, "ramp", margin=margin)
     assert np.all(st.v == 0.0)
-    assert energy_E(mesh, st, SOURCE_PARAMS) == pytest.approx(-margin, abs=1e-9)
+    assert make_report(mesh, st, SOURCE_PARAMS).E == pytest.approx(-margin, abs=1e-9)
 
 
 def test_negative_energy_data_small_margin_sits_past_balance(mesh):
     """As margin -> 0 the scale approaches the zero-energy crossing from above."""
     tiny = negative_energy_data(mesh, SOURCE_PARAMS, "ramp", margin=1e-6)
     big = negative_energy_data(mesh, SOURCE_PARAMS, "ramp", margin=1.0)
-    assert 0.0 > energy_E(mesh, tiny, SOURCE_PARAMS) > -1e-5
+    assert 0.0 > make_report(mesh, tiny, SOURCE_PARAMS).E > -1e-5
     assert np.max(np.abs(tiny.u)) < np.max(np.abs(big.u))
 
 
@@ -452,7 +452,7 @@ def test_simulate_initial_override_changes_outcome():
     reports, blowup = simulate(cfg, initial=hot)
     assert not blowup.blew_up
     assert reports[0].E == pytest.approx(
-        energy_E(mesh, hot, weak), rel=1e-12
+        make_report(mesh, hot, weak).E, rel=1e-12
     )
 
 
@@ -574,13 +574,13 @@ def test_simulate_batch_damping_failure_fails_only_its_cell(monkeypatch):
     the floor and ends as DtFloor; its stack-mates run on as if alone."""
     kick = solver._solve_damped_kick
 
-    def poisoned_kick(mesh, b, kappa, params):
+    def poisoned_kick(mesh, b, kappa, plan):
         # the cells with alpha = 2 get a NaN the Newton iteration cannot fix
         b = b.copy()
         cells = b.reshape(-1, *b.shape[-2:])
-        alpha = np.broadcast_to(np.ravel(params.alpha), len(cells))
+        alpha = np.broadcast_to(np.ravel(plan.P.weight), len(cells))
         cells[alpha == 2.0, 5, 5] = np.nan
-        return kick(mesh, b, kappa, params)
+        return kick(mesh, b, kappa, plan)
 
     monkeypatch.setattr(solver, "_solve_damped_kick", poisoned_kick)
     cfgs = [
