@@ -1,0 +1,74 @@
+#!/bin/sh
+# Write a fixed set of kwlab CLI outputs into OUT_DIR, for byte-identity
+# checks between two checkouts:
+#
+#   scripts/cli_outputs.sh /tmp/before     # in the old checkout
+#   scripts/cli_outputs.sh /tmp/after      # in the new one
+#   diff -r /tmp/before /tmp/after
+#
+# Every command runs inside OUT_DIR with relative paths, so the echoed
+# output paths in stdout.txt compare too.  The set: `simulate` of the c06
+# record (report_every 1, dt_min 1e-5), a Newton-kick record, a
+# boundary-only Newton record, a linear record with unequal weights and the
+# 129x128 calm run; six ClassifyAndSimulate scans, two of them on an alpha or
+# beta axis over linear-damping cells; two `classify` lines; two `oracle`
+# queries.
+set -eu
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUT_DIR" >&2
+    exit 2
+fi
+ROOT=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$1"
+cd "$1"
+export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
+kwlab() { python3 -m kwlab "$@" >>stdout.txt; }
+: >stdout.txt
+
+cat >c06.json <<'JSON'
+{"params": {"gamma": 1.0, "p": 4.0, "alpha": 1.0, "m": 2.0},
+ "mesh": {"n_r": 33, "n_theta": 32},
+ "initial_data": {"profile": "ramp", "margin": 1.0},
+ "t_end": 100.0, "dt_min": 1e-5, "blow_threshold": 1e13, "report_every": 1}
+JSON
+cat >newton.json <<'JSON'
+{"params": {"alpha": 1.0, "beta": 1.0, "gamma": 1.0, "delta": 1.0, "a": 0.5,
+            "m": 4.0, "m_tilde": 1.5, "mu": 3.5, "p": 3.0, "q": 3.0},
+ "initial_data": {"profile": "sine", "scale": 0.3},
+ "t_end": 1.0, "report_every": 1}
+JSON
+cat >boundary_newton.json <<'JSON'
+{"params": {"beta": 1.0, "b": 0.5, "mu": 3.0, "mu_tilde": 1.5, "gamma": 1.0, "p": 3.0},
+ "mesh": {"n_r": 17, "n_theta": 16},
+ "initial_data": {"profile": "bump", "margin": 1.0},
+ "t_end": 20.0, "dt_min": 1e-5, "report_every": 1}
+JSON
+cat >linear.json <<'JSON'
+{"params": {"alpha": 0.7, "beta": 1.3, "a": 0.4, "gamma": 1.0, "p": 4.0},
+ "mesh": {"n_r": 17, "n_theta": 16},
+ "initial_data": {"profile": "ramp", "margin": 1.0},
+ "t_end": 20.0, "dt_min": 1e-5, "report_every": 1}
+JSON
+cat >fine.json <<'JSON'
+{"params": {"gamma": 1.0, "p": 2.0, "alpha": 1.0, "m": 2.0},
+ "mesh": {"n_r": 129, "n_theta": 128},
+ "initial_data": {"profile": "ramp", "mode": "scaled", "scale": 1.0},
+ "t_end": 2.0, "report_every": 10}
+JSON
+for run in c06 newton boundary_newton linear fine; do
+    kwlab simulate "$run.json" "$run"
+done
+
+scan() { out=$1; shift; kwlab scan --mode ClassifyAndSimulate --out "$out" "$@"; }
+scan scan_pq.csv --alpha 1 --beta 1 --gamma 1 --delta 1 --axis1 p:3:5:3 --axis2 q:3:5:3
+scan scan_pm.csv --alpha 1 --beta 1 --b 0.5 --gamma 1 --axis1 p:3:5:3 --axis2 m:2:3:3
+scan scan_pmu.csv --alpha 1 --beta 1 --gamma 1 --axis1 p:3:5:3 --axis2 mu:2:3:3
+scan scan_pmt.csv --alpha 1 --a 1 --gamma 1 --m 3 --axis1 p:3.5:5:3 --axis2 m_tilde:1.2:2:3
+scan scan_alpha.csv --alpha 1 --a 0.4 --gamma 1 --axis1 p:3:6:4 --axis2 alpha:0.5:2:3
+scan scan_beta.csv --alpha 1 --beta 1 --b 0.4 --gamma 1 --axis1 p:3:6:4 --axis2 beta:0.5:2:3
+
+kwlab classify --gamma 1 --p 4 --alpha 1 --m 2
+kwlab classify --gamma 1 --p 3 --alpha 1 --m 4
+kwlab oracle --l 2 --psi0 1.5
+kwlab oracle --l 3 --c 0.5 --psi0 2 --trajectory oracle_traj.csv

@@ -2,7 +2,9 @@
 
 All file outputs are byte-deterministic: floats are rendered with 17
 significant digits in JSON and 9 in CSV, rows are written in a fixed order,
-and line endings are LF.  The scan subcommand classifies its grid cells in
+and line endings are LF.  blowup.json, trajectory.csv and the classify line
+hold the fields of BlowupReport, EnergyReport and RegimeVerdict in their
+declared order.  The scan subcommand classifies its grid cells in
 grid order, then simulates the cells that need it in one lockstep batch
 (solver.simulate_batch); the rows keep grid order.
 
@@ -88,10 +90,6 @@ def to_json_line(value) -> str:
     return " ".join(line.strip() for line in text.splitlines())
 
 
-def report_to_dict(rep: EnergyReport) -> dict:
-    return {col: getattr(rep, col) for col in REPORT_COLUMNS}
-
-
 def trajectory_csv(reports: list[EnergyReport]) -> str:
     lines = [",".join(REPORT_COLUMNS)]
     for rep in reports:
@@ -103,38 +101,13 @@ def trajectory_csv(reports: list[EnergyReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def verdict_to_dict(verdict: regimes.RegimeVerdict) -> dict:
-    return {
-        "conclusion": verdict.conclusion,
-        "fired": verdict.fired,
-        "wellposed": verdict.wellposed,
-        "uniqueness_extra": verdict.uniqueness_extra,
-        "global_existence": verdict.global_existence,
-        "blowup_interior": verdict.blowup_interior,
-        "blowup_two_sources": verdict.blowup_two_sources,
-        "blowup_linear_damping": verdict.blowup_linear_damping,
-    }
-
-
-def blowup_to_dict(report: solver.BlowupReport) -> dict:
-    return {
-        "blew_up": report.blew_up,
-        "t_detect": report.t_detect,
-        "t_bracket": list(report.t_bracket) if report.t_bracket else None,
-        "trigger": report.trigger,
-        "steps": report.steps,
-        "dt_final": report.dt_final,
-        "final_report": report_to_dict(report.final_report),
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
 
 def run_classify(params: ModelParams, out=None) -> regimes.RegimeVerdict:
     verdict = regimes.classify(params)
-    print(to_json_line(verdict_to_dict(verdict)), file=out or sys.stdout)
+    print(to_json_line(dataclasses.asdict(verdict)), file=out or sys.stdout)
     return verdict
 
 
@@ -236,7 +209,7 @@ def run_simulate(config_path: str | Path, out_dir: str | Path) -> solver.BlowupR
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "trajectory.csv").write_text(trajectory_csv(reports))
-    (out_dir / "blowup.json").write_text(to_json(blowup_to_dict(blowup)))
+    (out_dir / "blowup.json").write_text(to_json(dataclasses.asdict(blowup)))
     print(
         f"blew_up={'true' if blowup.blew_up else 'false'} "
         f"trigger={blowup.trigger} reports={len(reports)} -> {out_dir}"

@@ -55,7 +55,8 @@ class State:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """One monitoring row; serializes to one CSV line (see REPORT_COLUMNS)."""
+    """One monitoring row; the field order is the output order of
+    trajectory.csv's columns (REPORT_COLUMNS) and final_report's keys."""
 
     t: float
     lp_interior: float
@@ -72,31 +73,15 @@ class EnergyReport:
     identity_residual: float
 
 
-REPORT_COLUMNS = (
-    "t",
-    "lp_interior",
-    "lq_boundary",
-    "grad_omega",
-    "grad_gamma",
-    "kinetic",
-    "phase_norm_sq",
-    "J",
-    "E",
-    "K",
-    "Z",
-    "dissipation_rate",
-    "identity_residual",
-)
+REPORT_COLUMNS = tuple(f.name for f in dataclasses.fields(EnergyReport))
 
 
 @dataclass(frozen=True)
 class LyapunovConfig:
-    """Exponent k in (0, 1/2), weight omega > 0, and the damping ceiling
-    k_bar (None when no damping is active)."""
+    """Exponent k in (0, 1/2) and weight omega > 0."""
 
     k: float
     omega: float = 1.0
-    k_bar: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.k < 0.5:
@@ -146,15 +131,13 @@ def default_k(params: ModelParams) -> LyapunovConfig:
     k = min over the active terms of {1/m - 1/p (interior damping),
     1/mu - 1/p (boundary damping), 1/2 - 1/p (interior source),
     1/2 - 1/q (boundary source)}, omega = 1.  A term is active when its
-    weight (alpha, beta, gamma, delta respectively) is positive.  The
-    damping terms alone form the ceiling k_bar.
+    weight (alpha, beta, gamma, delta respectively) is positive.
     """
-    damping_terms = []
+    terms = []
     if params.alpha > 0:
-        damping_terms.append(1.0 / params.m - 1.0 / params.p)
+        terms.append(1.0 / params.m - 1.0 / params.p)
     if params.beta > 0:
-        damping_terms.append(1.0 / params.mu - 1.0 / params.p)
-    terms = list(damping_terms)
+        terms.append(1.0 / params.mu - 1.0 / params.p)
     if params.gamma > 0:
         terms.append(0.5 - 1.0 / params.p)
     if params.delta > 0:
@@ -166,9 +149,7 @@ def default_k(params: ModelParams) -> LyapunovConfig:
         raise ValueError(
             f"no admissible Lyapunov exponent: min of candidate terms is {k0}"
         )
-    return LyapunovConfig(
-        k=k0, omega=1.0, k_bar=min(damping_terms) if damping_terms else None
-    )
+    return LyapunovConfig(k=k0, omega=1.0)
 
 
 def dissipation_rate(mesh: AnnulusMesh, state: State, params: ModelParams) -> float:

@@ -18,10 +18,10 @@ form with h' = (e-1)|v|^{e-2}.  A plan (_Plan) resolves each term's branches
 once: whether its weight is zero (the term is off and evaluates to zeros),
 whether w2 is zero (no second summand), and for each summand whether its
 exponent is the number 2 (then h(v) = v).  The exponents NumPy's ** takes by
-a shortcut are found once too (_Power).  The solver builds a plan when a
-stack of cells forms; a single record's plan, ModelParams._plan, is built on
-first use.  |v| and sign(v) are taken once per evaluation and shared by both
-summands.
+a shortcut are found once too (_Power), and so are the slopes of linear
+dampings (lin).  The solver builds a plan when a stack of several cells
+forms; a single record's plan, ModelParams._plan, is built on first use and
+serves every one-cell run.  |v| and sign(v) are taken once per evaluation.
 """
 from __future__ import annotations
 
@@ -182,8 +182,8 @@ class _Plan:
     dampings, f = (gamma, p) and g = (delta, q) the sources, and lp, lq the
     powers |u|**p and |u|**q of the source norms.  key is what cells must
     share to be stacked: which weights are zero and whether the damping is
-    linear.  lin is left to the solver, which sets the closed-form kick's
-    coefficients on its mesh.
+    linear.  lin is (alpha*(1 + a), beta*(1 + b)), the slopes of P and Q,
+    when both are linear, else None; the kick's closed form reads it.
     """
 
     def __init__(self, records: list[ModelParams]):
@@ -201,4 +201,6 @@ class _Plan:
         self.damped = self.P.on or self.Q.on
         self.key = (self.P.on, self.Q.on, self.f.on, self.g.on, self.P.second,
                     self.Q.second, self.P.linear and self.Q.linear)
-        self.lin = None
+        self.lin = ((self.P.weight * (1.0 + self.P.weight2),
+                     self.Q.weight * (1.0 + self.Q.weight2))
+                    if self.P.linear and self.Q.linear else None)

@@ -226,14 +226,16 @@ def data_condition_note(params) -> bool:
 
 @dataclass(frozen=True)
 class RegimeVerdict:
+    """classify's answer; the field order is the classify line's key order."""
+
+    conclusion: str  # one of VERDICTS
+    fired: str       # condition label governing the conclusion
     wellposed: bool
     uniqueness_extra: bool
     global_existence: bool
     blowup_interior: bool
     blowup_two_sources: bool
     blowup_linear_damping: bool
-    conclusion: str  # one of VERDICTS
-    fired: str       # condition label governing the conclusion
 
 
 def classify(params) -> RegimeVerdict:
@@ -268,12 +270,12 @@ def classify(params) -> RegimeVerdict:
         fired += "; (1.12) data condition applies"
 
     return RegimeVerdict(
+        conclusion=conclusion,
+        fired=fired,
         wellposed=wellposed,
         uniqueness_extra=uniqueness_extra_ok(params),
         global_existence=glob,
         blowup_interior=b_int,
         blowup_two_sources=b_two,
         blowup_linear_damping=b_lin,
-        conclusion=conclusion,
-        fired=fired,
     )

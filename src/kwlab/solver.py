@@ -45,11 +45,14 @@ then hold one value per cell, and a parameter on which the cells differ is
 an (n_cells, 1, 1) array; a 2-D input is computed exactly as before.
 simulate_batch steps the cells that share a mesh and their kernel branches
 (which weights are zero, whether the kick has a closed form) as one stack in
-lockstep.  The kernels read the stack's plan (model._Plan, built by
-_stack_params when the stack forms and at each compaction), which decides
+lockstep.  The kernels read the stack's plan (model._Plan), which decides
 each term's branches once: a term that is off is skipped, a summand with
-exponent 2 is h(v) = v, and the cells whose exponent NumPy takes by a
-shortcut are listed once.  No kernel tests a weight or an exponent per call.
+exponent 2 is h(v) = v, the cells whose exponent NumPy takes by a shortcut
+are listed once, and linear dampings carry the closed-form kick's slopes.
+A stack of several cells builds its plan when it forms and at each
+compaction; a stack of one, and step given a ModelParams, read the record's
+cached plan, the one make_report reads too.  No kernel tests a weight or an
+exponent per call.
 Each cell keeps its own dt, clean streak and step count; a rollback is a
 masked where over the cell axis, and a cell that finishes (blow-up detected,
 DtFloor, or t_end) is retired: its rows are compacted out of the arrays.  No
@@ -240,17 +243,6 @@ def _damping_accel(mesh: AnnulusMesh, v: np.ndarray, plan: _Plan) -> np.ndarray:
     return _free_row_mix(mesh, v, plan, False)
 
 
-def _damping_linear_coeffs(mesh: AnnulusMesh, plan: _Plan):
-    """(c_interior, c_boundary_row) when D is linear, else None."""
-    P, Q = plan.P, plan.Q
-    if not (P.linear and Q.linear):
-        return None
-    c_int = P.weight * (1.0 + P.weight2)
-    c_bnd = Q.weight * (1.0 + Q.weight2)
-    half = 0.5 * mesh.dr
-    return c_int, (half * c_int + c_bnd) / (1.0 + half)
-
-
 def _solve_damped_kick(
     mesh: AnnulusMesh, b: np.ndarray, kappa: float, plan: _Plan
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -258,18 +250,21 @@ def _solve_damped_kick(
 
     D is odd and nondecreasing, so the root is unique and lies between 0 and
     b componentwise.  Newton from x = b with a bisection safeguard; closed
-    form when D is linear.  Converged entries are frozen: each sits on an
-    end of its own bracket, so the bracket test would bisect it away, and
-    because they stay put no cell of a stack depends on another.  D(x) is
-    the last residual's, or None when the kick evaluated none (closed form,
-    no damping).  plan is a stack's plan (_stack_params).
+    form from the plan's slopes when D is linear.  Converged entries are
+    frozen: each sits on an end of its own bracket, so the bracket test
+    would bisect it away, and because they stay put no cell of a stack
+    depends on another.  D(x) is the last residual's, or None when the kick
+    evaluated none (closed form, no damping).
     """
     if not plan.damped:
         return b.copy(), None
     if plan.lin is not None:
-        c_int, c_bnd = plan.lin
+        # the free-circle row's slope mixes P's and Q's as _free_row_mix does
+        c_int, c_q = plan.lin
+        half = 0.5 * mesh.dr
+        c_row = (half * c_int + c_q) / (1.0 + half)
         x = b / (1.0 + kappa * c_int)
-        x[..., -1:, :] = b[..., -1:, :] / (1.0 + kappa * c_bnd)
+        x[..., -1:, :] = b[..., -1:, :] / (1.0 + kappa * c_row)
         return x, None
 
     lo, hi = np.minimum(b, 0.0), np.maximum(b, 0.0)
@@ -317,8 +312,8 @@ def step(
     s_u is S(state.u) if the caller already has it, else None.  Returns a
     fresh State and S of its u, which the next step can take as its s_u.
     Neither s_u nor the state is modified.  On a stack of cells, dt and
-    state.t hold one value per cell.  params is a ModelParams or a stack's
-    plan (_stack_params).
+    state.t hold one value per cell.  params is a ModelParams, whose cached
+    plan is read, or a stack's plan (model._Plan).
     """
     if isinstance(dt, np.ndarray):
         valid = ((dt > 0) & (dt < math.inf)).all()
@@ -328,7 +323,7 @@ def step(
         dt_grid = dt
     if not valid:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    plan = _stack_params(mesh, [params]) if isinstance(params, ModelParams) else params
+    plan = params._plan if isinstance(params, ModelParams) else params
     kappa = 0.5 * dt_grid
     if s_u is None:
         s_u = _accel(mesh, state.u, plan)
@@ -422,7 +417,9 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
-        """Build from a JSON-style document; unknown keys are errors."""
+        """Build from a JSON-style document.  Unknown keys are errors, and so
+        are keys the run would ignore: margin in the scaled mode, scale in the
+        auto_negative_energy mode, and cfl beside an explicit dt."""
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
         doc = dict(doc)
@@ -450,10 +447,13 @@ class SimConfig:
             raise ValueError(f"unknown initial_data keys: {sorted(bad)}")
         if "profile" in init_doc:
             kwargs["initial_profile"] = init_doc["profile"]
-        if "mode" in init_doc:
-            kwargs["initial_mode"] = init_doc["mode"]
-        elif "margin" in init_doc and "scale" not in init_doc:
-            kwargs["initial_mode"] = "auto_negative_energy"
+        # margin alone selects the solved scaling
+        solved = "margin" in init_doc and "scale" not in init_doc
+        mode = init_doc.get("mode", "auto_negative_energy" if solved else "scaled")
+        unused = {"scaled": "margin", "auto_negative_energy": "scale"}.get(mode)
+        if unused in init_doc:
+            raise ValueError(f"initial_data key {unused!r} does not apply to mode {mode!r}")
+        kwargs["initial_mode"] = mode
         if "scale" in init_doc:
             kwargs["initial_scale"] = float(init_doc["scale"])
         if "margin" in init_doc:
@@ -462,19 +462,23 @@ class SimConfig:
         bad = set(doc) - simple
         if bad:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
+        if "cfl" in doc and doc.get("dt") is not None:
+            raise ValueError("config key 'cfl' does not apply when 'dt' is given")
         kwargs.update(doc)
         return cls(**kwargs)
 
 
 @dataclass
 class BlowupReport:
+    """How a run ended; the field order is blowup.json's key order."""
+
     blew_up: bool
     t_detect: float | None
     t_bracket: tuple[float, float] | None
     trigger: str  # PhaseNorm | LpNorm | DtFloor | None
+    steps: int
+    dt_final: float
     final_report: EnergyReport
-    steps: int = 0
-    dt_final: float = 0.0
 
 
 def _crossing(
@@ -495,14 +499,6 @@ def _crossing(
         return None
     hit = np.where(calm, np.where(lp_calm, None, "LpNorm"), "PhaseNorm")
     return hit[()] if hit.ndim == 0 else hit
-
-
-def _stack_params(mesh: AnnulusMesh, records: list[ModelParams]) -> _Plan:
-    """The plan of a stack of cells (model._Plan), with lin, the closed-form
-    kick's coefficients on this mesh or None."""
-    plan = _Plan(records)
-    plan.lin = _damping_linear_coeffs(mesh, plan)
-    return plan
 
 
 @dataclass(slots=True)
@@ -553,9 +549,9 @@ class _Cell:
             t_detect=None if bracket is None else bracket[1],
             t_bracket=bracket,
             trigger=trigger,
-            final_report=reports[-1],
             steps=self.accepted,
             dt_final=self.dt,
+            final_report=reports[-1],
         )
 
 
@@ -596,7 +592,7 @@ def _run_stack(
     v = np.stack([st.v for st in states])
     if one:
         u, v = u[0], v[0]
-    plan = _stack_params(mesh, [cfg.params for cfg in cfgs])
+    plan = cfgs[0].params._plan if one else _Plan([cfg.params for cfg in cfgs])
     threshold = _cell_values([cfg.blow_threshold for cfg in cfgs], one)
     hit = _crossing(mesh, State(u, v), plan, threshold)
     if hit is not None:
@@ -622,7 +618,8 @@ def _run_stack(
             one = len(live) == 1
             if one:
                 u, v, s_u = u[0], v[0], s_u[0]
-            plan = _stack_params(mesh, [c.cfg.params for c in live])
+            records = [c.cfg.params for c in live]
+            plan = records[0]._plan if one else _Plan(records)
             threshold = _cell_values([c.cfg.blow_threshold for c in live], one)
         dt_step = [min(c.dt, c.cfg.t_end - c.t) for c in live]
         state = State(u, v, _cell_values([c.t for c in live], one))

@@ -9,7 +9,6 @@ import textwrap
 import pytest
 
 from kwlab import cli
-from kwlab.functionals import REPORT_COLUMNS
 from kwlab.model import ModelParams
 from kwlab.regimes import classify
 
@@ -243,13 +242,22 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     assert cli.main(["simulate", str(cfg), str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "blew_up=false" in stdout
+    # the output schemas, key order included (the classify line's is pinned
+    # by test_classify_record_keys)
+    report_keys = [
+        "t", "lp_interior", "lq_boundary", "grad_omega", "grad_gamma", "kinetic",
+        "phase_norm_sq", "J", "E", "K", "Z", "dissipation_rate", "identity_residual",
+    ]
     csv_text = (out / "trajectory.csv").read_text()
-    assert csv_text.splitlines()[0] == ",".join(REPORT_COLUMNS)
+    assert csv_text.splitlines()[0] == ",".join(report_keys)
     doc = json.loads((out / "blowup.json").read_text())
+    assert list(doc) == [
+        "blew_up", "t_detect", "t_bracket", "trigger", "steps", "dt_final", "final_report",
+    ]
     assert doc["blew_up"] is False
     assert doc["t_bracket"] is None
     assert doc["trigger"] == "None"
-    assert set(doc["final_report"]) == set(REPORT_COLUMNS)
+    assert list(doc["final_report"]) == report_keys
 
 
 def test_simulate_reruns_are_byte_identical(tmp_path):
@@ -318,6 +326,24 @@ def test_simulate_rejects_bad_initial_data_and_report_spacing(
 ):
     # these used to run: a zero-step "PhaseNorm blow-up", or reports every
     # 5 steps for 2.5 and every step for true
+    cfg = write_sim_config(tmp_path / "cfg.json", **overrides)
+    assert cli.main(["simulate", str(cfg), str(tmp_path / "o")]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, fragment",
+    [
+        (dict(initial_data={"scale": 0.1, "margin": 1.0}),
+         "initial_data key 'margin' does not apply to mode 'scaled'"),
+        (dict(initial_data={"mode": "auto_negative_energy", "scale": 0.1}),
+         "initial_data key 'scale' does not apply to mode 'auto_negative_energy'"),
+        (dict(cfl=9.0, dt=0.01), "config key 'cfl' does not apply when 'dt' is given"),
+    ],
+)
+def test_simulate_rejects_keys_the_run_would_ignore(tmp_path, capsys, overrides, fragment):
+    # these used to run, dropping margin, scale or cfl without a word
     cfg = write_sim_config(tmp_path / "cfg.json", **overrides)
     assert cli.main(["simulate", str(cfg), str(tmp_path / "o")]) == 2
     assert fragment in capsys.readouterr().err

@@ -160,19 +160,16 @@ def test_default_k_all_terms():
     cfg = default_k(par)
     assert cfg.k == 0.25
     assert cfg.omega == 1.0
-    assert cfg.k_bar == 0.25
 
 
 def test_default_k_interior_pair_only():
     cfg = default_k(ModelParams(alpha=1.0, gamma=1.0, m=2, p=3))
     assert cfg.k == pytest.approx(1.0 / 6.0, abs=1e-15)
-    assert cfg.k_bar == pytest.approx(1.0 / 6.0, abs=1e-15)
 
 
 def test_default_k_no_damping_has_no_ceiling():
     cfg = default_k(ModelParams(gamma=1.0, p=4))
     assert cfg.k == 0.25
-    assert cfg.k_bar is None
 
 
 def test_default_k_degenerate():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kwlab import solver
+from kwlab import model, solver
 from kwlab.functionals import State, make_report
 from kwlab.geometry import build_annulus
 from kwlab.model import ModelParams
@@ -202,8 +202,35 @@ def test_dt_regrows_after_64_clean_steps(monkeypatch):
     assert blowup.dt_final == cfg.dt
 
 
+def count_plan_builds(monkeypatch) -> list:
+    """Record the record count of every model._Plan built from now on."""
+    builds, init = [], model._Plan.__init__
+
+    def counting(plan, records):
+        builds.append(len(records))
+        init(plan, records)
+
+    monkeypatch.setattr(model._Plan, "__init__", counting)
+    return builds
+
+
+def test_step_loop_on_a_record_builds_one_plan(mesh, monkeypatch):
+    builds = count_plan_builds(monkeypatch)
+    par = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, p=4)
+    st, s_u = negative_energy_data(mesh, par, "ramp", margin=1.0), None
+    for _ in range(10):
+        st, s_u = step(mesh, st, par, 0.01, s_u)
+    assert builds == [1]
+
+
+def test_one_cell_simulate_builds_one_plan(monkeypatch):
+    builds = count_plan_builds(monkeypatch)
+    _, blowup = simulate(batch_config(dict(alpha=1.0, beta=1.0, gamma=1.0, p=4.0)))
+    assert blowup.blew_up and builds == [1]
+
+
 def test_damped_kick_failure_marks_only_failed_cells(mesh):
-    par = solver._stack_params(mesh, [ModelParams(alpha=1.0, m=3)])
+    par = ModelParams(alpha=1.0, m=3)._plan
     b = np.ones((3, 33, 32))
     b[1, 5, 7] = np.nan
     with pytest.raises(StepFailure) as failure:
@@ -215,7 +242,7 @@ def test_damped_kick_failure_marks_only_failed_cells(mesh):
 
 
 def test_damped_kick_failure_names_residual(mesh):
-    par = solver._stack_params(mesh, [ModelParams(alpha=1.0, m=3)])
+    par = ModelParams(alpha=1.0, m=3)._plan
     b = np.ones((33, 32))
     b[5, 7] = np.nan
     with pytest.raises(
@@ -542,6 +569,9 @@ def test_simulate_batch_cells_equal_single_runs():
         batch_config(dict(alpha=2.0, gamma=1.0, p=5.0), report_every=7),
         batch_config(dict(alpha=1.0, gamma=1.0, p=2.0), t_end=1.0,
                      initial_mode="scaled", initial_scale=0.3),
+        # both dampings linear with per-cell slopes: alpha, beta and a differ
+        batch_config(dict(alpha=0.7, beta=1.3, a=0.4, gamma=1.0, p=4.0)),
+        batch_config(dict(alpha=1.5, beta=0.5, a=0.9, gamma=1.0, p=4.0), report_every=2),
         # nonlinear damping: m = 3 (square shortcut) beside m = 4
         batch_config(dict(alpha=1.0, m=3.0, gamma=1.0, p=4.0), report_every=4),
         batch_config(dict(alpha=1.0, m=4.0, gamma=1.0, p=5.0), report_every=6),
