@@ -9,10 +9,11 @@
 # Every command runs inside OUT_DIR with relative paths, so the echoed
 # output paths in stdout.txt compare too.  The set: `simulate` of the c06
 # record (report_every 1, dt_min 1e-5), a Newton-kick record, a
-# boundary-only Newton record, a linear record with unequal weights and the
-# 129x128 calm run; six ClassifyAndSimulate scans, two of them on an alpha or
-# beta axis over linear-damping cells; two `classify` lines; two `oracle`
-# queries.
+# boundary-only Newton record, a linear record with unequal weights, the
+# 129x128 calm run, and one run each with an explicit dt and with cfl 0.3
+# (the two ways to set the step size); six ClassifyAndSimulate scans, two of
+# them on an alpha or beta axis over linear-damping cells; two `classify`
+# lines; two `oracle` queries.
 set -eu
 
 if [ $# -ne 1 ]; then
@@ -56,7 +57,19 @@ cat >fine.json <<'JSON'
  "initial_data": {"profile": "ramp", "mode": "scaled", "scale": 1.0},
  "t_end": 2.0, "report_every": 10}
 JSON
-for run in c06 newton boundary_newton linear fine; do
+cat >dt.json <<'JSON'
+{"params": {"alpha": 1.0, "a": 0.4, "gamma": 1.0, "p": 3.0},
+ "mesh": {"n_r": 17, "n_theta": 16},
+ "initial_data": {"profile": "sine", "scale": 0.5},
+ "dt": 0.02, "t_end": 2.0, "report_every": 5}
+JSON
+cat >cfl.json <<'JSON'
+{"params": {"beta": 1.0, "mu": 3.0, "gamma": 1.0, "p": 4.0},
+ "mesh": {"n_r": 17, "n_theta": 16},
+ "initial_data": {"profile": "bump", "margin": 1.0},
+ "cfl": 0.3, "t_end": 20.0, "dt_min": 1e-5, "report_every": 5}
+JSON
+for run in c06 newton boundary_newton linear fine dt cfl; do
     kwlab simulate "$run.json" "$run"
 done
 

@@ -167,11 +167,9 @@ def _scan_cell(
             params=params,
             n_r=17,
             n_theta=16,
-            cfl=0.4,
             t_end=20.0,
             dt_min=1e-5,
             report_every=10**9,
-            initial_mode="auto_negative_energy",
             initial_margin=1.0,
         )
     return verdict, cfg

@@ -53,6 +53,17 @@ class State:
     t: float = 0.0
 
 
+def _check_state(mesh: AnnulusMesh, state: State, name: str = "state") -> State:
+    """The state with float u and v, which must share the shape (n_r, n_theta)
+    or (n_cells, n_r, n_theta); the entry points check, the kernels do not."""
+    u, v = np.asarray(state.u, dtype=float), np.asarray(state.v, dtype=float)
+    grid = (mesh.n_r, mesh.n_theta)
+    if not (u.shape == v.shape and u.shape[-2:] == grid and u.ndim in (2, 3)):
+        raise ValueError(f"{name} u and v must have shape {grid} or (n_cells, {grid[0]}, "
+                         f"{grid[1]}), got {u.shape} and {v.shape}")
+    return State(u, v, state.t)
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     """One monitoring row; the field order is the output order of
@@ -155,12 +166,13 @@ def default_k(params: ModelParams) -> LyapunovConfig:
 def dissipation_rate(mesh: AnnulusMesh, state: State, params: ModelParams) -> float:
     """∫ P(u')u' + ∫_circle Q(u')u'; each summand is pointwise >= 0, so the
     result is exactly nonnegative."""
+    v = _check_state(mesh, state).v
     P, Q = params._plan.P, params._plan.Q
     total = 0.0
     if P.on:
-        total += integrate_interior(mesh, P(state.v) * state.v)
+        total += integrate_interior(mesh, P(v) * v)
     if Q.on:
-        v_last = state.v[..., -1, :]
+        v_last = v[..., -1, :]
         total += integrate_boundary(mesh, Q(v_last) * v_last)
     return total
 
@@ -194,6 +206,7 @@ def make_report(
     a Lyapunov config is supplied and K > 0; the identity residual is
     measured against `prev` (0 for the first report).
     """
+    state = _check_state(mesh, state)
     u, v = state.u, state.v
     plan = params._plan
     lp, lq = _source_norms(mesh, u, plan)

@@ -14,7 +14,8 @@ traces are (n_theta,) arrays.
 Every operator and quadrature also takes a stack of fields with a leading
 cell axis, (n_cells, n_r, n_theta) or (n_cells, n_theta), and treats each
 cell on its own: a quadrature then returns one value per cell, and each
-value is bitwise the one the cell's own 2-D field gives.
+value is bitwise the one the cell's own 2-D field gives.  The operators take
+float arrays of these shapes unchecked; states are checked where they enter.
 
 The interior Laplacian is assembled in conservative flux form,
 
@@ -130,25 +131,6 @@ def build_annulus(r_inner: float, r_outer: float, n_r: int, n_theta: int) -> Ann
     return AnnulusMesh(r_inner, r_outer, n_r, n_theta)
 
 
-def _check_interior(mesh: AnnulusMesh, u: np.ndarray, name: str = "field"):
-    u = np.asarray(u, dtype=float)
-    if u.shape[-2:] != (mesh.n_r, mesh.n_theta) or u.ndim > 3:
-        raise ValueError(
-            f"{name} shape {u.shape} does not match mesh "
-            f"({mesh.n_r}, {mesh.n_theta})"
-        )
-    return u
-
-
-def _check_boundary(mesh: AnnulusMesh, v: np.ndarray, name: str = "trace"):
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1:] != (mesh.n_theta,) or v.ndim > 2:
-        raise ValueError(
-            f"{name} shape {v.shape} does not match mesh ({mesh.n_theta},)"
-        )
-    return v
-
-
 def _per_cell(total):
     """A float for a single field; one value per cell for a stack."""
     return float(total) if total.ndim == 0 else total
@@ -156,13 +138,11 @@ def _per_cell(total):
 
 def integrate_interior(mesh: AnnulusMesh, f: np.ndarray) -> float:
     """Quadrature of an interior field over the annulus."""
-    f = _check_interior(mesh, f)
     return _per_cell((f * mesh.interior_weights).sum(axis=(-2, -1)))
 
 
 def integrate_boundary(mesh: AnnulusMesh, g: np.ndarray) -> float:
     """Quadrature of a trace over the free (outer) circle."""
-    g = _check_boundary(mesh, g)
     return _per_cell((g * mesh.boundary_weights).sum(axis=-1))
 
 
@@ -173,7 +153,6 @@ def laplacian(mesh: AnnulusMesh, u: np.ndarray) -> np.ndarray:
     both boundary rows: the pinned row has no dynamics and the free-circle
     row is governed by its own surface equation, not by this operator.
     """
-    u = _check_interior(mesh, u)
     out = np.empty_like(u)
     out[..., 0, :] = out[..., -1, :] = 0.0
     # r_{i+1/2} du/dr
@@ -193,7 +172,6 @@ def laplace_beltrami(mesh: AnnulusMesh, v: np.ndarray) -> np.ndarray:
     exactly at its Nyquist zeros comes back as zero (accuracy loss, not an
     error).
     """
-    v = _check_boundary(mesh, v)
     wrapped = np.concatenate((v[..., -1:], v, v[..., :1]), axis=-1)
     return (wrapped[..., 2:] - 2.0 * v + wrapped[..., :-2]) / mesh._circle_den
 
@@ -206,7 +184,6 @@ def boundary_flux(mesh: AnnulusMesh, u: np.ndarray) -> np.ndarray:
     discrete Green identity holds to rounding.  First-order as a pointwise
     derivative, but the energetically consistent choice.
     """
-    u = _check_interior(mesh, u)
     return mesh.r_half[-1] * (u[..., -1, :] - u[..., -2, :]) / (mesh.r_outer * mesh.dr)
 
 
@@ -220,7 +197,6 @@ def gradient_energy(mesh: AnnulusMesh, u: np.ndarray) -> tuple[float, float]:
     so 0.5*(their sum) is the exactly-conserved stiffness energy of the
     semi-discrete flow.
     """
-    u = _check_interior(mesh, u)
     dr, dth = mesh.dr, mesh.dtheta
     du_r = (u[..., 1:, :] - u[..., :-1, :]) / dr
     radial = (mesh.r_half[:, None] * du_r**2).sum(axis=(-2, -1)) * dr * dth

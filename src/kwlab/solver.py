@@ -63,7 +63,7 @@ one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -132,12 +132,11 @@ def negative_energy_data(
     E(lambda*phi) = lambda^2 A - lambda^p B - lambda^q C with A the stiffness
     quadratic and B, C the source integrals measured on the mesh; since the
     active source exponents exceed 2 whenever this is solvable, the scale is
-    found by doubling and bisection.
+    found by doubling and bisection.  The result's E is within a relative
+    1e-6 of -margin, or ValueError names the smallest margin E resolves.
     """
     if not margin > 0:
         raise ValueError(f"margin must be positive, got {margin}")
-    if params.gamma == 0 and params.delta == 0:
-        raise ValueError("no source: energy cannot be negative")
     phi = radial_profile(mesh, profile)
     grad_omega, grad_gamma = geometry.gradient_energy(mesh, phi)
     a_quad = 0.5 * (grad_omega + grad_gamma)
@@ -172,14 +171,20 @@ def negative_energy_data(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         g_mid = excess(mid)
-        if abs(g_mid) <= 1e-12 * max(1.0, margin):
+        if abs(g_mid) <= 1e-12 * margin:
             break
         if g_mid > 0:
             lo = mid
         else:
             hi = mid
-    u0 = mid * phi
-    return State(u=u0, v=np.zeros_like(u0), t=0.0)
+    state = State(u=mid * phi, v=np.zeros_like(phi), t=0.0)
+    # E sums terms of about mid^2 A, each rounded to a few eps of that size
+    floor = 1e7 * np.finfo(float).eps * mid * mid * a_quad
+    e_val = make_report(mesh, state, params).E
+    if margin < floor or not abs(e_val + margin) <= 1e-6 * margin:
+        raise ValueError(f"margin {margin:g} is below what this mesh's energy resolves for "
+                         f"{profile!r}: the smallest margin is about {floor:.1e} (E = {e_val:.3e})")
+    return state
 
 
 def initial_state(mesh: AnnulusMesh, params: ModelParams, cfg: "SimConfig") -> State:
@@ -309,20 +314,24 @@ def step(
 ) -> tuple[State, np.ndarray]:
     """One kick-drift-kick step of size dt.
 
+    u and v share one shape, (n_r, n_theta) or a stack (n_cells, n_r,
+    n_theta).  dt is a float or, on a stack, one value per cell, like state.t.
     s_u is S(state.u) if the caller already has it, else None.  Returns a
     fresh State and S of its u, which the next step can take as its s_u.
-    Neither s_u nor the state is modified.  On a stack of cells, dt and
-    state.t hold one value per cell.  params is a ModelParams, whose cached
-    plan is read, or a stack's plan (model._Plan).
+    Neither s_u nor the state is modified.  params is a ModelParams, whose
+    cached plan is read, or a stack's plan (model._Plan).
     """
+    state = functionals._check_state(mesh, state)
     if isinstance(dt, np.ndarray):
-        valid = ((dt > 0) & (dt < math.inf)).all()
-        dt_grid = dt[:, None, None]  # broadcasts over each cell's grid
+        valid = state.u.ndim == 3 and dt.shape == state.u.shape[:1] and (
+            (dt > 0) & (dt < math.inf)).all()
+        dt_grid = dt.reshape(-1, 1, 1)  # broadcasts over each cell's grid
     else:
         valid = 0 < dt < math.inf
         dt_grid = dt
     if not valid:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+        raise ValueError(f"dt must be positive and finite, a float or one value per "
+                         f"cell of a stack; got {dt!r} for a state of shape {state.u.shape}")
     plan = params._plan if isinstance(params, ModelParams) else params
     kappa = 0.5 * dt_grid
     if s_u is None:
@@ -348,11 +357,14 @@ def step(
 
 @dataclass
 class SimConfig:
-    """Everything one run needs; validated at construction.
+    """Everything one run needs; every rule is checked at construction.
 
-    dt defaults to cfl*min(dr, r_inner*dtheta) (unit wave speed); an explicit
-    dt must respect the 0.5 CFL cap.  initial_mode is "scaled" (u0 =
-    scale*profile) or "auto_negative_energy" (scale solved so E = -margin).
+    dt defaults to cfl*min(dr, r_inner*dtheta) (unit wave speed, cfl 0.4); an
+    explicit dt must respect the 0.5 CFL cap, and cfl beside it is an error.
+    initial_mode is "scaled" (u0 = scale*profile) or "auto_negative_energy"
+    (scale solved so E = -margin), which a margin alone selects.  The mode's
+    scale or margin defaults to 1; the other must stay None.  The stored
+    fields hold only what the run reads: dt (not cfl), the mode, its value.
     """
 
     params: ModelParams
@@ -360,18 +372,18 @@ class SimConfig:
     r_outer: float = 2.0
     n_r: int = 33
     n_theta: int = 32
-    cfl: float = 0.4
+    cfl: InitVar[float | None] = None
     dt: float | None = None
     t_end: float = 10.0
     dt_min: float = 1e-6
     blow_threshold: float = 1e8
     report_every: int = 10
     initial_profile: str = "ramp"
-    initial_mode: str = "scaled"
-    initial_scale: float = 1.0
-    initial_margin: float = 1.0
+    initial_mode: str | None = None
+    initial_scale: float | None = None
+    initial_margin: float | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, cfl):
         if self.params.N != 2:
             raise ValueError(f"the simulator is two-dimensional; N=2 required, got N={self.params.N}")
         # the mesh's own checks, before dr and dtheta divide by its sizes
@@ -380,9 +392,12 @@ class SimConfig:
         dtheta = 2.0 * math.pi / self.n_theta
         wave_limit = min(dr, self.r_inner * dtheta)
         if self.dt is None:
-            if not 0.0 < self.cfl <= 0.5:
-                raise ValueError(f"cfl must lie in (0, 0.5], got {self.cfl}")
-            self.dt = self.cfl * wave_limit
+            cfl = 0.4 if cfl is None else cfl
+            if not 0.0 < cfl <= 0.5:
+                raise ValueError(f"cfl must lie in (0, 0.5], got {cfl}")
+            self.dt = cfl * wave_limit
+        elif cfl is not None:
+            raise ValueError("config key 'cfl' does not apply when 'dt' is given")
         elif not 0.0 < self.dt <= 0.5 * wave_limit:
             raise ValueError(
                 f"dt={self.dt} violates the CFL bound 0.5*min(dr, r_inner*dtheta)"
@@ -404,67 +419,54 @@ class SimConfig:
         if every < 1:
             raise ValueError(f"report_every must be >= 1, got {every}")
         self.report_every = int(every)
-        if not math.isfinite(self.initial_scale):
-            raise ValueError(f"initial scale must be finite, got {self.initial_scale}")
         if self.initial_profile not in PROFILES:
             raise ValueError(
                 f"unknown profile {self.initial_profile!r}; choose from {PROFILES}"
             )
-        if self.initial_mode not in ("scaled", "auto_negative_energy"):
-            raise ValueError(f"unknown initial mode {self.initial_mode!r}")
-        if self.initial_mode == "auto_negative_energy" and not self.initial_margin > 0:
+        mode = self.initial_mode
+        if mode is None:
+            solved = self.initial_margin is not None and self.initial_scale is None
+            mode = self.initial_mode = "auto_negative_energy" if solved else "scaled"
+        if mode not in ("scaled", "auto_negative_energy"):
+            raise ValueError(f"unknown initial mode {mode!r}")
+        used, unused = ("scale", "margin") if mode == "scaled" else ("margin", "scale")
+        if getattr(self, "initial_" + unused) is not None:
+            raise ValueError(f"initial_data key {unused!r} does not apply to mode {mode!r}")
+        if getattr(self, "initial_" + used) is None:
+            setattr(self, "initial_" + used, 1.0)
+        if mode == "scaled" and not math.isfinite(self.initial_scale):
+            raise ValueError(f"initial scale must be finite, got {self.initial_scale}")
+        if mode != "scaled" and not self.initial_margin > 0:
             raise ValueError(f"margin must be positive, got {self.initial_margin}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
-        """Build from a JSON-style document.  Unknown keys are errors, and so
-        are keys the run would ignore: margin in the scaled mode, scale in the
-        auto_negative_energy mode, and cfl beside an explicit dt."""
+        """Build from a JSON-style document.  Only its shape is checked here
+        (objects where objects belong, no unknown keys); each key maps to one
+        constructor keyword, and the constructor applies every value rule."""
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
         doc = dict(doc)
-        kwargs = {}
         params_doc = doc.pop("params", None)
         if not isinstance(params_doc, dict):
             raise ValueError("config requires a 'params' object")
-        known = set(ModelParams.field_names())
-        bad = set(params_doc) - known
+        bad = set(params_doc) - set(ModelParams.field_names())
         if bad:
             raise ValueError(f"unknown model parameters: {sorted(bad)}")
-        kwargs["params"] = ModelParams(**params_doc)
-        mesh_doc = doc.pop("mesh", {})
-        if not isinstance(mesh_doc, dict):
-            raise ValueError("'mesh' must be an object")
-        bad = set(mesh_doc) - {"r_inner", "r_outer", "n_r", "n_theta"}
-        if bad:
-            raise ValueError(f"unknown mesh keys: {sorted(bad)}")
-        kwargs.update(mesh_doc)
-        init_doc = doc.pop("initial_data", {})
-        if not isinstance(init_doc, dict):
-            raise ValueError("'initial_data' must be an object")
-        bad = set(init_doc) - {"profile", "mode", "scale", "margin"}
-        if bad:
-            raise ValueError(f"unknown initial_data keys: {sorted(bad)}")
-        if "profile" in init_doc:
-            kwargs["initial_profile"] = init_doc["profile"]
-        # margin alone selects the solved scaling
-        solved = "margin" in init_doc and "scale" not in init_doc
-        mode = init_doc.get("mode", "auto_negative_energy" if solved else "scaled")
-        unused = {"scaled": "margin", "auto_negative_energy": "scale"}.get(mode)
-        if unused in init_doc:
-            raise ValueError(f"initial_data key {unused!r} does not apply to mode {mode!r}")
-        kwargs["initial_mode"] = mode
-        if "scale" in init_doc:
-            kwargs["initial_scale"] = float(init_doc["scale"])
-        if "margin" in init_doc:
-            kwargs["initial_margin"] = float(init_doc["margin"])
-        simple = {"cfl", "dt", "t_end", "dt_min", "blow_threshold", "report_every"}
-        bad = set(doc) - simple
-        if bad:
-            raise ValueError(f"unknown config keys: {sorted(bad)}")
-        if "cfl" in doc and doc.get("dt") is not None:
-            raise ValueError("config key 'cfl' does not apply when 'dt' is given")
-        kwargs.update(doc)
+        kwargs = {"params": ModelParams(**params_doc)}
+        # section (None: the top level) -> its keys, the keyword prefix
+        for section, (prefix, keys) in {
+            "mesh": ("", {"r_inner", "r_outer", "n_r", "n_theta"}),
+            "initial_data": ("initial_", {"profile", "mode", "scale", "margin"}),
+            None: ("", {"cfl", "dt", "t_end", "dt_min", "blow_threshold", "report_every"}),
+        }.items():
+            part = doc if section is None else doc.pop(section, {})
+            if not isinstance(part, dict):
+                raise ValueError(f"'{section}' must be an object")
+            bad = set(part) - keys
+            if bad:
+                raise ValueError(f"unknown {section or 'config'} keys: {sorted(bad)}")
+            kwargs.update((prefix + key, value) for key, value in part.items())
         return cls(**kwargs)
 
 
@@ -678,10 +680,11 @@ def simulate_batch(
         mesh = meshes[shape]
         if initial is None:
             initial = initial_state(mesh, cfg.params, cfg)
-        elif (not np.shape(initial.u) == np.shape(initial.v) == shape[2:]
-              or np.any(initial.u[0]) or np.any(initial.v[0])):
-            raise ValueError(f"initial u and v must have shape {shape[2:]} and be "
-                             "zero on the pinned circle (row 0)")
+        else:
+            initial = functionals._check_state(mesh, initial, "initial")
+            if initial.u.ndim != 2 or initial.u[0].any() or initial.v[0].any():
+                raise ValueError(f"initial u and v must have shape {shape[2:]} and be "
+                                 "zero on the pinned circle (row 0)")
         states.append(initial)
         # the plan's key decides the kernels' branches; lin follows from it
         stacks.setdefault((shape, cfg.params._plan.key), []).append(i)

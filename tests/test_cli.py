@@ -319,13 +319,15 @@ def test_simulate_config_errors(tmp_path, capsys):
         (dict(initial_data={"scale": 1e200}), "initial data already crosses"),
         (dict(report_every=2.5), "report_every must be an integer"),
         (dict(report_every=True), "report_every must be an integer"),
+        (dict(initial_data={"margin": 1e-15}), "the smallest margin is about"),
     ],
 )
 def test_simulate_rejects_bad_initial_data_and_report_spacing(
     tmp_path, capsys, overrides, fragment
 ):
-    # these used to run: a zero-step "PhaseNorm blow-up", or reports every
-    # 5 steps for 2.5 and every step for true
+    # these used to run: a zero-step "PhaseNorm blow-up", reports every
+    # 5 steps for 2.5 and every step for true, or E = +4.4e-13 at t = 0 for
+    # margin 1e-15
     cfg = write_sim_config(tmp_path / "cfg.json", **overrides)
     assert cli.main(["simulate", str(cfg), str(tmp_path / "o")]) == 2
     assert fragment in capsys.readouterr().err

@@ -106,17 +106,6 @@ def test_quadrature_convergence_order():
     assert 3.5 <= ratio <= 4.5
 
 
-@pytest.mark.parametrize("shape", [(32, 32), (33, 31), (33,)])
-def test_integrate_shape_errors(mesh, shape):
-    with pytest.raises(ValueError):
-        G.integrate_interior(mesh, np.zeros(shape))
-
-
-def test_boundary_shape_error(mesh):
-    with pytest.raises(ValueError):
-        G.integrate_boundary(mesh, np.zeros(31))
-
-
 # ---------------------------------------------------------------------------
 # laplacian
 

@@ -1,11 +1,13 @@
 """Time stepper and simulation driver."""
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from kwlab import model, solver
-from kwlab.functionals import State, make_report
+from kwlab.functionals import State, dissipation_rate, make_report
 from kwlab.geometry import build_annulus
 from kwlab.model import ModelParams
 from kwlab.solver import (
@@ -55,6 +57,53 @@ def test_step_rejects_bad_dt(mesh):
                 step(mesh, st, par, dt)
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             step(mesh, stack, par, np.array([0.01, math.inf]))
+
+
+def test_step_rejects_states_and_dt_that_do_not_fit(mesh):
+    """Each of these used to return a silently wrong state: a stack built
+    from one u, a v row broadcast over every radius, or a 2-D state stepped
+    as a stack of two."""
+    par = ModelParams(alpha=1.0, gamma=1.0, p=4)
+    u = radial_profile(mesh, "ramp")
+    for v in (np.zeros((2, 33, 32)), np.zeros((1, 32))):
+        with pytest.raises(ValueError, match="u and v must have shape"):
+            step(mesh, State(u, v), par, 0.01)
+    for dt in (np.array([0.01, 0.02]), np.array(0.01)):
+        with pytest.raises(ValueError, match="a float or one value per cell"):
+            step(mesh, State(u, np.zeros_like(u)), par, dt)
+    stack = State(np.stack([u, 0.5 * u]), np.zeros((2, 33, 32)), t=np.zeros(2))
+    with pytest.raises(ValueError, match="one value per cell"):
+        step(mesh, stack, par, np.array([0.01, 0.02, 0.03]))
+    # a stack takes one float for every cell, or one value per cell
+    a, _ = step(mesh, stack, par, 0.01)
+    b, _ = step(mesh, stack, par, np.array([0.01, 0.01]))
+    assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (33, 31), (33,), (31,), (1, 32), (32,)])
+def test_entry_points_reject_bad_state_shapes(mesh, shape):
+    """A u or v off the (n_r, n_theta) grid is refused where a state enters
+    the library, the broadcastable (1, n_theta) and (n_theta,) included; the
+    geometry operators under these calls do not check."""
+    par = ModelParams(alpha=1.0, gamma=1.0, p=4)
+    good, bad = np.zeros((33, 32)), np.zeros(shape)
+    calls = (lambda st: step(mesh, st, par, 0.01), lambda st: make_report(mesh, st, par),
+             lambda st: dissipation_rate(mesh, st, par))
+    for state in (State(bad, good), State(good, bad)):
+        for call in calls:
+            with pytest.raises(ValueError, match="u and v must have shape"):
+                call(state)
+
+
+def test_report_and_dissipation_reject_u_and_v_that_disagree(mesh):
+    """make_report used to return per-cell arrays for a 2-D u beside a
+    stacked v, and dissipation_rate read v alone, whatever u held."""
+    field, stack = np.zeros((33, 32)), np.zeros((2, 33, 32))
+    with pytest.raises(ValueError, match="u and v must have shape"):
+        make_report(mesh, State(field, stack), SOURCE_PARAMS)
+    for par in (SOURCE_PARAMS, ModelParams(alpha=1.0, gamma=1.0, p=4)):
+        with pytest.raises(ValueError, match="u and v must have shape"):
+            dissipation_rate(mesh, State(stack, field), par)
 
 
 def test_step_preserves_pinned_row(mesh):
@@ -285,6 +334,19 @@ def test_negative_energy_data_small_margin_sits_past_balance(mesh):
     assert np.max(np.abs(tiny.u)) < np.max(np.abs(big.u))
 
 
+def test_negative_energy_data_refuses_margins_below_rounding():
+    """These margins used to return data whose E missed -margin: +4.4e-13
+    for 1e-13 on 17x16, -7.4e-13 for 1e-12 on 33x32.  The named smallest
+    margin is one the mesh resolves."""
+    for n_r, margin in ((17, 1e-13), (33, 1e-12)):
+        mesh = build_annulus(1.0, 2.0, n_r, n_r - 1)
+        with pytest.raises(ValueError, match="the smallest margin is about") as err:
+            negative_energy_data(mesh, SOURCE_PARAMS, "ramp", margin)
+        floor = 2.0 * float(re.search(r"about (\S+) ", str(err.value)).group(1))
+        st = negative_energy_data(mesh, SOURCE_PARAMS, "ramp", floor)
+        assert make_report(mesh, st, SOURCE_PARAMS).E == pytest.approx(-floor, rel=1e-6)
+
+
 def test_negative_energy_data_errors(mesh):
     with pytest.raises(ValueError, match="margin must be positive"):
         negative_energy_data(mesh, SOURCE_PARAMS, "ramp", margin=0.0)
@@ -343,6 +405,14 @@ def test_config_default_dt_follows_mesh():
         (dict(params=SOURCE_PARAMS, report_every=True), "report_every must be an integer"),
         (dict(params=SOURCE_PARAMS, initial_scale=math.nan), "initial scale must be finite"),
         (dict(params=SOURCE_PARAMS, initial_scale=math.inf), "initial scale must be finite"),
+        # these used to construct, keeping a cfl, scale or margin the run ignores
+        (dict(params=SOURCE_PARAMS, cfl=9.0, dt=0.01, initial_margin=-3.0, initial_scale=2.0),
+         "does not apply"),
+        (dict(params=SOURCE_PARAMS, initial_mode="auto_negative_energy", initial_scale=7.0),
+         "key 'scale' does not apply to mode 'auto_negative_energy'"),
+        (dict(params=SOURCE_PARAMS, cfl=0.3, dt=0.01), "key 'cfl' does not apply when 'dt'"),
+        (dict(params=SOURCE_PARAMS, initial_scale=2.0, initial_margin=1.0),
+         "key 'margin' does not apply to mode 'scaled'"),
     ],
 )
 def test_config_validation(kwargs, pattern):
@@ -366,6 +436,21 @@ def test_config_from_dict_round_trip():
     assert cfg.initial_margin == 2.0
     assert cfg.t_end == 5.0 and cfg.report_every == 4
     assert cfg.params.alpha == 1.0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(cfl=0.3), dict(dt=0.01), dict(initial_scale=0.5, initial_profile="sine"),
+     dict(initial_margin=2.0)],
+)
+def test_config_round_trips_through_its_stored_fields(kwargs):
+    """The stored fields hold only what the run reads: dt but no cfl, the
+    mode and its scale or margin, the other None."""
+    cfg = SimConfig(params=SOURCE_PARAMS, n_r=17, n_theta=16, **kwargs)
+    stored = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    assert SimConfig(**stored) == cfg
+    unused = {"scaled": "initial_margin", "auto_negative_energy": "initial_scale"}
+    assert "cfl" not in stored and stored[unused[cfg.initial_mode]] is None
 
 
 @pytest.mark.parametrize(
