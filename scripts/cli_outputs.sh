@@ -13,7 +13,12 @@
 # 129x128 calm run, and one run each with an explicit dt and with cfl 0.3
 # (the two ways to set the step size); six ClassifyAndSimulate scans, two of
 # them on an alpha or beta axis over linear-damping cells; two `classify`
-# lines; two `oracle` queries.
+# lines; two `oracle` queries.  For the classifier, four ClassifyOnly grids
+# at each N = 3..7: the interior side (p x m), the boundary side (q x mu),
+# both sources (p x q), and one corner grid whose first cell sits exactly on
+# the (1.12)/(1.11) borderline 1 + r/m' of each side with m = mu = 7 and
+# both dampings on.  Together they print every `fired` label and the (1.12)
+# note.
 set -eu
 
 if [ $# -ne 1 ]; then
@@ -83,5 +88,20 @@ scan scan_beta.csv --alpha 1 --beta 1 --b 0.4 --gamma 1 --axis1 p:3:6:4 --axis2 
 
 kwlab classify --gamma 1 --p 4 --alpha 1 --m 2
 kwlab classify --gamma 1 --p 3 --alpha 1 --m 4
+# N, then 1 + r/(7/6) with r = 2n/(n-2) at n = N (interior) and n = N-1
+# (boundary, 2 where r is infinite), each the repr of the float
+for line in "3 6.142857142857142 2" "4 4.428571428571429 6.142857142857142" \
+            "5 3.857142857142857 4.428571428571429" "6 3.571428571428571 3.857142857142857" \
+            "7 3.4 3.571428571428571"; do
+    set -- $line
+    kwlab scan --mode ClassifyOnly --N "$1" --out "interior_N$1.csv" \
+        --gamma 1 --alpha 1 --axis1 p:2:8:25 --axis2 m:1.5:7.5:25
+    kwlab scan --mode ClassifyOnly --N "$1" --out "boundary_N$1.csv" \
+        --delta 1 --beta 1 --axis1 q:2:8:25 --axis2 mu:1.5:7.5:25
+    kwlab scan --mode ClassifyOnly --N "$1" --out "sources_N$1.csv" \
+        --gamma 1 --delta 1 --beta 1 --mu 3 --axis1 p:2:8:25 --axis2 q:2:8:25
+    kwlab scan --mode ClassifyOnly --N "$1" --out "borderline_N$1.csv" \
+        --gamma 1 --delta 1 --alpha 1 --beta 1 --m 7 --mu 7 --axis1 "p:$2:8:4" --axis2 "q:$3:8:4"
+done
 kwlab oracle --l 2 --psi0 1.5
 kwlab oracle --l 3 --c 0.5 --psi0 2 --trajectory oracle_traj.csv

@@ -105,9 +105,9 @@ def trajectory_csv(reports: list[EnergyReport]) -> str:
 # subcommand bodies
 
 
-def run_classify(params: ModelParams, out=None) -> regimes.RegimeVerdict:
+def run_classify(params: ModelParams) -> regimes.RegimeVerdict:
     verdict = regimes.classify(params)
-    print(to_json_line(dataclasses.asdict(verdict)), file=out or sys.stdout)
+    print(to_json_line(dataclasses.asdict(verdict)))
     return verdict
 
 

@@ -8,10 +8,15 @@ Given a parameter record, decide which of four regimes it falls in:
     Undetermined            none of the known conditions applies
 
 The decision surface is an algebra of inequalities between the source
-exponents (p interior, q boundary), the damping exponents (m, mu and their
-"barred" versions m_bar = max{2,m}), and the critical Sobolev exponents of
-H^1 on the domain and on the boundary.  Verdicts carry a `fired` label naming
-the governing condition; the labels form a stable output contract:
+exponents (p interior, q boundary), the damping exponents and the critical
+Sobolev exponent r(n) = 2n/(n-2) of H^1 in dimension n (+inf when n <= 2).
+The free boundary is an (N-1)-dimensional manifold whose equation mirrors the
+interior one, so each growth condition is written once and read on two
+sides: the interior (gamma > 0, p, m_bar, N, r(N)) and the boundary
+(delta > 0, q, mu_bar, N-1, r(N-1)).  A side's damping exponent is
+max{2, m} when its damping is on and 2 when it is off.  Verdicts carry a
+`fired` label naming the governing condition; the labels form a stable
+output contract:
 
     (1.6)      growth bound making the local theory applicable
     (1.11)     supplemental strict growth bound, high dimensions only
@@ -25,8 +30,7 @@ the governing condition; the labels form a stable output contract:
     Theorem 1.1 / 1.2 / 1.3 / 1.4  the result consuming the condition
 
 All comparisons use the exact <= / < of the conditions; ties land on the
-side the condition prints.  Everything is pure and safe to call from any
-number of threads.
+side the condition prints.
 """
 from __future__ import annotations
 
@@ -40,13 +44,6 @@ __all__ = [
     "critical_exponents",
     "holder_conjugate",
     "bar",
-    "wellposed_ok",
-    "global_existence_ok",
-    "blowup_interior_ok",
-    "blowup_two_sources_ok",
-    "blowup_linear_damping_ok",
-    "uniqueness_extra_ok",
-    "data_condition_note",
     "classify",
     "VERDICTS",
 ]
@@ -65,20 +62,20 @@ class CriticalExponents:
     r_gamma: float  # critical exponent of H^1(boundary); inf when N <= 3
 
 
+def _critical(n: int) -> float:
+    """2n/(n-2), mapped to +inf where H^1 embeds into every L^rho."""
+    return math.inf if n <= 2 else 2.0 * n / (n - 2)
+
+
 @functools.lru_cache(maxsize=64)
 def critical_exponents(N) -> CriticalExponents:
-    """2N/(N-2) and 2(N-1)/(N-3), with the dimensions where the embedding
-    is into every L^rho mapped to +inf (so all comparisons are vacuous).
+    """r(N) on the domain and r(N-1) on its boundary.
 
     Cached by N; the record is frozen, so callers share one instance."""
-    if N != int(N):
+    if N != int(N) or N < 2:
         raise ValueError(f"N must be an integer >= 2, got {N}")
     N = int(N)
-    if N < 2:
-        raise ValueError(f"N must be an integer >= 2, got {N}")
-    r_omega = math.inf if N == 2 else 2.0 * N / (N - 2)
-    r_gamma = math.inf if N <= 3 else 2.0 * (N - 1) / (N - 3)
-    return CriticalExponents(r_omega, r_gamma)
+    return CriticalExponents(_critical(N), _critical(N - 1))
 
 
 def holder_conjugate(rho: float) -> float:
@@ -93,135 +90,6 @@ def holder_conjugate(rho: float) -> float:
 def bar(rho: float) -> float:
     """max{2, rho}."""
     return max(2.0, float(rho))
-
-
-def wellposed_ok(params) -> bool:
-    """Growth bound on each active source against the matching damping.
-
-    Interior: p <= 1 + r_omega/2 without interior damping, p <= 1 +
-    r_omega/m_bar' with it; boundary analogue with r_gamma and mu_bar'.
-    Vacuous for inactive sources and in the dimensions where the critical
-    exponent is infinite.
-    """
-    ce = critical_exponents(params.N)
-    if params.gamma > 0 and math.isfinite(ce.r_omega):
-        denom = 2.0 if params.alpha == 0 else holder_conjugate(bar(params.m))
-        if not params.p <= 1.0 + ce.r_omega / denom:
-            return False
-    if params.delta > 0 and math.isfinite(ce.r_gamma):
-        denom = 2.0 if params.beta == 0 else holder_conjugate(bar(params.mu))
-        if not params.q <= 1.0 + ce.r_gamma / denom:
-            return False
-    return True
-
-
-def _supplemental_ok(params) -> bool:
-    """Strict high-dimension growth bounds (conjugates of the *unbarred*
-    damping exponents); only bind when the damping grows supercritically."""
-    ce = critical_exponents(params.N)
-    if params.N >= 5 and params.gamma > 0 and params.m > ce.r_omega:
-        if not params.p < 1.0 + ce.r_omega / holder_conjugate(params.m):
-            return False
-    if params.N >= 6 and params.delta > 0 and params.mu > ce.r_gamma:
-        if not params.q < 1.0 + ce.r_gamma / holder_conjugate(params.mu):
-            return False
-    return True
-
-
-def global_existence_ok(params) -> bool:
-    """Each active source dominated by its damping: p <= 2 (no interior
-    damping) or p <= m_bar (with it), boundary analogue; plus the
-    supplemental high-dimension bounds."""
-    if params.gamma > 0:
-        if not params.p <= (2.0 if params.alpha == 0 else bar(params.m)):
-            return False
-    if params.delta > 0:
-        if not params.q <= (2.0 if params.beta == 0 else bar(params.mu)):
-            return False
-    return _supplemental_ok(params)
-
-
-def _linear_damping(params) -> bool:
-    return (
-        params.a == 0
-        and params.b == 0
-        and (params.alpha == 0 or params.m == 2)
-        and (params.beta == 0 or params.mu == 2)
-    )
-
-
-def _superlinear_sources(params) -> bool:
-    """At least one source, and every active source superlinear."""
-    if params.gamma == 0 and params.delta == 0:
-        return False
-    if params.gamma > 0 and not params.p > 2:
-        return False
-    if params.delta > 0 and not params.q > 2:
-        return False
-    return True
-
-
-def blowup_linear_damping_ok(params) -> bool:
-    """Both dampings linear (or off) and some superlinear source present."""
-    return _linear_damping(params) and _superlinear_sources(params)
-
-
-def blowup_interior_ok(params) -> bool:
-    """Interior source only (gamma>0=delta): p beats the interior damping,
-    and any boundary damping is dominated transversally (mu_bar < 1 + p/2)."""
-    if not (params.gamma > 0 and params.delta == 0):
-        return False
-    if not params.p > (2.0 if params.alpha == 0 else bar(params.m)):
-        return False
-    if params.beta > 0 and not bar(params.mu) < 1.0 + params.p / 2.0:
-        return False
-    return True
-
-
-def blowup_two_sources_ok(params) -> bool:
-    """Both sources present: p beats the interior damping, q superlinear,
-    and any boundary damping dominated by q or transversally by p."""
-    if not (params.gamma > 0 and params.delta > 0):
-        return False
-    if not params.p > (2.0 if params.alpha == 0 else bar(params.m)):
-        return False
-    if not params.q > 2:
-        return False
-    if params.beta > 0 and not bar(params.mu) < max(params.q, 1.0 + params.p / 2.0):
-        return False
-    return True
-
-
-def uniqueness_extra_ok(params) -> bool:
-    """Subcriticality upgrade: p <= 1 + r_omega/2 when N >= 5 and the
-    interior source is active; q <= 1 + r_gamma/2 when N >= 6, boundary."""
-    ce = critical_exponents(params.N)
-    if params.N >= 5 and params.gamma > 0 and not params.p <= 1.0 + ce.r_omega / 2.0:
-        return False
-    if params.N >= 6 and params.delta > 0 and not params.q <= 1.0 + ce.r_gamma / 2.0:
-        return False
-    return True
-
-
-def data_condition_note(params) -> bool:
-    """True when the datum needs extra integrability: source exponent sits
-    exactly on the supplemental borderline in the mid dimensions."""
-    ce = critical_exponents(params.N)
-    if (
-        params.N in (3, 4)
-        and params.gamma > 0
-        and params.m > ce.r_omega
-        and params.p == 1.0 + ce.r_omega / holder_conjugate(params.m)
-    ):
-        return True
-    if (
-        params.N in (4, 5)
-        and params.delta > 0
-        and params.mu > ce.r_gamma
-        and params.q == 1.0 + ce.r_gamma / holder_conjugate(params.mu)
-    ):
-        return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -247,11 +115,32 @@ def classify(params) -> RegimeVerdict:
     The global and blow-up conditions are mutually exclusive by construction,
     so the order among them only affects the label, not the conclusion.
     """
-    wellposed = wellposed_ok(params)
-    glob = global_existence_ok(params)
-    b_int = blowup_interior_ok(params)
-    b_two = blowup_two_sources_ok(params)
-    b_lin = blowup_linear_damping_ok(params)
+    ce = critical_exponents(params.N)
+    m_bar = bar(params.m) if params.alpha > 0 else 2.0
+    mu_bar = bar(params.mu) if params.beta > 0 else 2.0
+    on_p, on_q, p, q = params.gamma > 0, params.delta > 0, params.p, params.q
+    sides = ((on_p, p, m_bar, params.N, ce.r_omega), (on_q, q, mu_bar, params.N - 1, ce.r_gamma))
+
+    wellposed = uniqueness = glob = True
+    note = False
+    for on, e, d, n, r in sides:
+        if not on:
+            continue
+        growth = 1.0 + r / holder_conjugate(d)
+        wellposed &= e <= growth                                   # (1.6)
+        # (1.15); (1.11) makes the growth bound strict once d passes r
+        glob &= e <= d and (n < 5 or d <= r or e < growth)
+        uniqueness &= n < 5 or e <= 1.0 + r / 2.0                  # (1.14)
+        note |= n in (3, 4) and d > r and e == growth              # (1.12)
+
+    b_int = on_p and not on_q and p > m_bar and mu_bar < 1.0 + p / 2.0       # (1.21)
+    b_two = (on_p and on_q and p > m_bar and q > 2
+             and mu_bar < max(q, 1.0 + p / 2.0))                             # (1.24bis)
+    # (1.13)+(1.19) reads m and mu themselves: m_bar = 2 also holds for m = 1.5
+    b_lin = (params.a == 0 and params.b == 0
+             and (params.alpha == 0 or params.m == 2)
+             and (params.beta == 0 or params.mu == 2)
+             and (on_p or on_q) and (not on_p or p > 2) and (not on_q or q > 2))
 
     if not wellposed:
         conclusion, fired = "OutsideLocalTheory", "(1.6) violated"
@@ -266,14 +155,14 @@ def classify(params) -> RegimeVerdict:
     else:
         conclusion, fired = "Undetermined", "none"
 
-    if data_condition_note(params):
+    if note:
         fired += "; (1.12) data condition applies"
 
     return RegimeVerdict(
         conclusion=conclusion,
         fired=fired,
         wellposed=wellposed,
-        uniqueness_extra=uniqueness_extra_ok(params),
+        uniqueness_extra=uniqueness,
         global_existence=glob,
         blowup_interior=b_int,
         blowup_two_sources=b_two,

@@ -170,6 +170,8 @@ def negative_energy_data(
     lo, mid = 0.0, hi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # no float lies between lo and hi: mid can move no further
         g_mid = excess(mid)
         if abs(g_mid) <= 1e-12 * margin:
             break

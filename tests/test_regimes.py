@@ -10,18 +10,7 @@ import numpy as np
 import pytest
 
 from kwlab.model import ModelParams
-from kwlab.regimes import (
-    VERDICTS,
-    bar,
-    blowup_interior_ok,
-    blowup_two_sources_ok,
-    classify,
-    critical_exponents,
-    data_condition_note,
-    global_existence_ok,
-    holder_conjugate,
-    wellposed_ok,
-)
+from kwlab.regimes import VERDICTS, bar, classify, critical_exponents, holder_conjugate
 
 INF = float("inf")
 
@@ -64,7 +53,7 @@ def test_integral_float_dimension_accepted():
 
 
 def test_critical_exponents_shared_per_dimension():
-    # cached: classify asks for them four times per record
+    # cached: classify asks for them once per record
     assert critical_exponents(4) is critical_exponents(4)
     assert critical_exponents(4) is not critical_exponents(5)
 
@@ -103,14 +92,14 @@ def test_bar(rho, want):
     ],
 )
 def test_growth_bound(kwargs, ok):
-    assert wellposed_ok(ModelParams(**kwargs)) is ok
+    assert classify(ModelParams(**kwargs)).wellposed is ok
 
 
 def test_damping_softens_growth_bound():
     # with interior damping m=4 the admissible p extends past 1+r/2
     base = dict(N=3, gamma=1.0, p=4.2)
-    assert not wellposed_ok(ModelParams(**base, alpha=0.0))
-    assert wellposed_ok(ModelParams(**base, alpha=1.0, m=4))
+    assert not classify(ModelParams(**base, alpha=0.0)).wellposed
+    assert classify(ModelParams(**base, alpha=1.0, m=4)).wellposed
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +117,7 @@ def test_damping_softens_growth_bound():
     ],
 )
 def test_global_condition(kwargs, ok):
-    assert global_existence_ok(ModelParams(**kwargs)) is ok
+    assert classify(ModelParams(**kwargs)).global_existence is ok
 
 
 def test_global_condition_high_dimension_strictness():
@@ -138,10 +127,11 @@ def test_global_condition_high_dimension_strictness():
     edge_p = 1.0 + (10.0 / 3.0) / (4.0 / 3.0)  # float-identical to the bound
     good = ModelParams(N=5, gamma=1.0, alpha=1.0, m=4, p=3.4)
     edge = ModelParams(N=5, gamma=1.0, alpha=1.0, m=4, p=edge_p)
-    assert global_existence_ok(good)
-    assert not global_existence_ok(edge)
-    assert wellposed_ok(edge)  # still inside the local theory
+    assert classify(good).global_existence
+    assert not classify(edge).global_existence
+    assert classify(edge).wellposed  # still inside the local theory
     assert classify(edge).conclusion == "Undetermined"
+    assert classify(edge).fired == "none"  # above N = 4 no (1.12) note
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +148,7 @@ def test_global_condition_high_dimension_strictness():
     ],
 )
 def test_interior_blowup_condition(kwargs, ok):
-    assert blowup_interior_ok(ModelParams(**kwargs)) is ok
+    assert classify(ModelParams(**kwargs)).blowup_interior is ok
 
 
 @pytest.mark.parametrize(
@@ -171,7 +161,7 @@ def test_interior_blowup_condition(kwargs, ok):
     ],
 )
 def test_two_source_blowup_condition(kwargs, ok):
-    assert blowup_two_sources_ok(ModelParams(**kwargs)) is ok
+    assert classify(ModelParams(**kwargs)).blowup_two_sources is ok
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +262,13 @@ def test_data_condition_note_appended():
     # N=3, m=7 > r_omega=6, p exactly 1 + 6/m' with m' = 7/6
     p_exact = 1.0 + 6.0 / (7.0 / 6.0)
     par = ModelParams(N=3, gamma=1.0, alpha=1.0, m=7, p=p_exact)
-    assert data_condition_note(par)
+    assert "(1.12)" in classify(par).fired
     v = classify(par)
     assert v.fired.endswith("; (1.12) data condition applies")
 
 
 def test_data_condition_needs_exact_borderline():
     par = ModelParams(N=3, gamma=1.0, alpha=1.0, m=7, p=6.0)
-    assert not data_condition_note(par)
     assert "(1.12)" not in classify(par).fired
 
 
@@ -287,7 +276,18 @@ def test_data_condition_boundary_side():
     # N=4: r_gamma=6; mu=7 > 6; q = 1 + 6/(7/6) = 43/7
     q_exact = 1.0 + 6.0 / (7.0 / 6.0)
     par = ModelParams(N=4, delta=1.0, beta=1.0, mu=7, q=q_exact)
-    assert data_condition_note(par)
+    assert "(1.12)" in classify(par).fired
+
+
+@pytest.mark.parametrize("side", [dict(N=3, gamma=1.0, alpha=0.0, m=7, p=1.0 + 6.0 / (7.0 / 6.0)),
+                                  dict(N=4, delta=1.0, beta=0.0, mu=7, q=1.0 + 6.0 / (7.0 / 6.0))])
+def test_data_condition_needs_matching_damping(side):
+    # the borderline 1 + r/m' belongs to the damping exponent m; with that
+    # damping off the side's exponent is 2, so the source is past (1.6) and
+    # no note applies
+    assert classify(ModelParams(**side)).fired == "(1.6) violated"
+    damped = dict(side, **{"alpha" if "alpha" in side else "beta": 1.0})
+    assert classify(ModelParams(**damped)).fired.endswith("; (1.12) data condition applies")
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +332,33 @@ def test_outside_iff_not_wellposed_random():
         v = classify(ModelParams(**_random_params(rng)))
         assert (v.conclusion == "OutsideLocalTheory") == (not v.wellposed)
         assert v.conclusion in VERDICTS
+
+
+def test_boundary_is_interior_one_dimension_down():
+    # a boundary-only record at N decides as the interior-only record at N-1
+    # with (delta, q, beta, mu) read as (gamma, p, alpha, m); the exponents
+    # include each exact borderline so that ties are exercised
+    rng = np.random.default_rng(14)
+    seen = set()
+    for _ in range(3000):
+        n = int(rng.integers(3, 10))
+        weight = float(rng.uniform(0.1, 2.0))
+        damp = float(rng.choice([0.0, rng.uniform(0.1, 2.0)]))
+        e_damp = float(rng.choice([1.5, 2.0, 7.0, rng.uniform(1.1, 9.0)]))
+        r = critical_exponents(n - 1).r_omega
+        d = bar(e_damp) if damp > 0 else 2.0
+        e_src = float(rng.choice([rng.uniform(2.0, 12.0), 2.0, d, 1.0 + r / 2.0,
+                                  1.0 + r / holder_conjugate(d)]))
+        if not 2.0 <= e_src < INF:
+            continue
+        edge = classify(ModelParams(N=n, delta=weight, q=e_src, beta=damp, mu=e_damp))
+        inner = classify(ModelParams(N=n - 1, gamma=weight, p=e_src, alpha=damp, m=e_damp))
+        got = [(v.wellposed, v.uniqueness_extra, v.global_existence, "(1.12)" in v.fired)
+               for v in (edge, inner)]
+        assert got[0] == got[1]
+        seen.add(got[0])
+    flags = list(zip(*seen))
+    assert all(set(f) == {True, False} for f in flags)  # every flag both ways
 
 
 def _random_params(rng):

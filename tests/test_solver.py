@@ -334,6 +334,20 @@ def test_negative_energy_data_small_margin_sits_past_balance(mesh):
     assert np.max(np.abs(tiny.u)) < np.max(np.abs(big.u))
 
 
+@pytest.mark.parametrize("margin, scale", [
+    (1.0, "0x1.714bb40adcd80p+1"),
+    (1e-3, "0x1.6cae68e9d619ap+1"),
+    (1e-6, "0x1.6cad30d4334c2p+1"),
+])
+def test_negative_energy_data_scale_is_pinned(margin, scale):
+    """The bisection's scale, bit for bit, on 17x16; the two small margins
+    end where no float lies between the bracket's ends."""
+    mesh = build_annulus(1.0, 2.0, 17, 16)
+    st = negative_energy_data(mesh, SOURCE_PARAMS, "ramp", margin=margin)
+    assert np.array_equal(st.u, float.fromhex(scale) * radial_profile(mesh, "ramp"))
+    assert np.all(st.v == 0.0)
+
+
 def test_negative_energy_data_refuses_margins_below_rounding():
     """These margins used to return data whose E missed -margin: +4.4e-13
     for 1e-13 on 17x16, -7.4e-13 for 1e-12 on 33x32.  The named smallest
