@@ -126,6 +126,26 @@ def _source_norms(mesh: AnnulusMesh, u: np.ndarray, plan: _Plan) -> tuple[float,
     )
 
 
+def _max_norm_bounds(mesh: AnnulusMesh, state: State, plan: _Plan):
+    """Upper bounds of (phase_norm_sq, ∫|u|^p + ∫_circle |u|^q), one per cell,
+    from M_u = max|u| and M_v = max|v| alone: A_v M_v^2 + A_u M_u^2 and
+    S_p M_u^p + S_q M_u^q, with the mesh's constants (see AnnulusMesh) and
+    the plan's lp and lq, the powers _source_norms takes.  Each grid
+    difference is at most 2 M_u (a discrete inverse inequality; Ciarlet, The
+    Finite Element Method for Elliptic Problems, 1978, section 3.2).  A NaN
+    or inf M, or an M^2 that overflows, gives a NaN or inf bound, which
+    bounds nothing.
+    """
+    axes = (-2, -1)
+    u, v = state.u, state.v
+    m_u = np.maximum(u.max(axis=axes, keepdims=True), -u.min(axis=axes, keepdims=True))
+    m_v = np.maximum(v.max(axis=axes, keepdims=True), -v.min(axis=axes, keepdims=True))
+    with np.errstate(over="ignore"):
+        phase = mesh._phase_bound_v * (m_v * m_v) + mesh._phase_bound_u * (m_u * m_u)
+        source = mesh._source_bound_p * plan.lp(m_u) + mesh._source_bound_q * plan.lq(m_u)
+    return phase[..., 0, 0], source[..., 0, 0]
+
+
 def _source_terms(plan: _Plan, lp: float, lq: float) -> tuple[float, float]:
     """The two summands (gamma/p) lp and (delta/q) lq of J.  A source that is
     off contributes exactly 0.0, whatever its norm."""

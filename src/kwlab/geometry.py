@@ -104,6 +104,20 @@ class AnnulusMesh:
         self._angular_den = (r * self.dtheta) ** 2
         self._circle_den = (self.r_outer * self.dtheta) ** 2
 
+        # constants of the blow-up monitor's bounds by M_u = max|u| and
+        # M_v = max|v| (functionals._max_norm_bounds).  A quadrature of v^2,
+        # u^2 or |u|^p is at most M^2 or M_u^p times its weights' sum s_w or
+        # s_b; each grid difference is at most 2 M_u, so each of
+        # gradient_energy's three forms is at most 4 M_u^2 times the sum g_r,
+        # g_a or g_c of its face weights.  The factor 2 covers rounding.
+        s_w, s_b = self.interior_weights.sum(), self.boundary_weights.sum()
+        g_r = self.r_half.sum() * self.n_theta * self.dtheta / self.dr
+        g_a = self.n_theta * c.sum()
+        g_c = self.n_theta / (self.r_outer * self.dtheta)
+        self._phase_bound_v = 2.0 * (s_w + s_b)
+        self._phase_bound_u = 2.0 * (4.0 * (g_r + g_a + g_c) + s_b)
+        self._source_bound_p, self._source_bound_q = 2.0 * s_w, 2.0 * s_b
+
     def __repr__(self):  # pragma: no cover
         return (
             f"AnnulusMesh(r_inner={self.r_inner}, r_outer={self.r_outer}, "

@@ -36,7 +36,11 @@ checked against the threshold; a crossing rolls the step back and halves dt,
 and is accepted as a detection only once dt has been driven to dt_min, so the
 reported bracket has width <= dt_min.  A step failure at the floor is flagged
 separately (DtFloor) rather than silently treated as a crossing.  Initial
-data that already crosses the monitors is an error.
+data that already crosses the monitors is an error.  The monitor first
+tries to prove a step calm from max|u| and max|v| alone
+(functionals._max_norm_bounds) and evaluates the exact norms only when it
+cannot, so no output changes; a run close to its threshold pays the full
+cost.  A stack is proved calm only when every one of its cells is.
 
 Stacks: the kernels (_accel, _solve_damped_kick, step, _crossing and the
 geometry operators under them) also take a stack of cells, arrays of shape
@@ -491,8 +495,12 @@ def _crossing(
     """Name of the triggered monitor, or None.  Non-finite counts as crossed.
 
     On a stack of cells, with one threshold per cell: None when no cell
-    crossed, else an object array holding each cell's name or None.
+    crossed, else an object array holding each cell's name or None.  When
+    the max-norm bounds prove every cell calm, the exact norms are skipped.
     """
+    phase_bound, source_bound = functionals._max_norm_bounds(mesh, state, plan)
+    if ((phase_bound < threshold * threshold) & (source_bound < threshold)).all():
+        return None
     calm = functionals._phase_parts(mesh, state)[3] < threshold * threshold
     lp_calm = True
     if calm.any() if isinstance(calm, np.ndarray) else calm:

@@ -8,6 +8,8 @@ With alpha = beta and m = mu = 2 (linear damping on both pieces) the same phi
 works with g'' + alpha g' + w^2 g = 0, so the closed-form kick gets an exact
 solution too.  Unlike the energy identity, these runs see a coupling error in
 the free-circle row (its lumped mass, flux or Laplace-Beltrami term).
+Nonlinear records started from the same mode are checked by
+self-convergence between meshes.
 """
 import math
 
@@ -42,17 +44,22 @@ def amplitude(alpha, t):
     return math.exp(-0.5 * alpha * t) * (math.cos(nu * t) + 0.5 * alpha / nu * math.sin(nu * t))
 
 
-def l2_error(n_r, alpha):
+def evolve(n_r, params):
+    """The mesh, the mode's shape on it, and u at T from u = shape, v = 0."""
     mesh = build_annulus(R_IN, R_OUT, n_r, 4 * (n_r - 1))
     shape = phi(OMEGA, mesh.r)[:, None] * np.cos(K * mesh.theta)[None, :]
     shape[0] = 0.0  # phi(r_in) = 0 up to rounding
-    params = ModelParams(alpha=alpha, beta=alpha)
     n_steps = round(T / (0.4 * min(mesh.dr, R_IN * mesh.dtheta)))
     dt = T / n_steps
     state, s_u = State(shape.copy(), np.zeros_like(shape)), None
     for _ in range(n_steps):
         state, s_u = solver.step(mesh, state, params, dt, s_u)
-    err = state.u - amplitude(alpha, T) * shape
+    return mesh, shape, state.u
+
+
+def l2_error(n_r, alpha):
+    mesh, shape, u = evolve(n_r, ModelParams(alpha=alpha, beta=alpha))
+    err = u - amplitude(alpha, T) * shape
     return math.sqrt(integrate_interior(mesh, err * err))
 
 
@@ -67,3 +74,17 @@ def test_standing_wave_converges_at_second_order(alpha, golden_33):
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.6 <= coarse / fine <= 4.4, errors
     assert errors[1] == pytest.approx(golden_33, rel=1e-6)
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(alpha=1.0, m=3, beta=1.0, mu=3.5),
+    ModelParams(alpha=1.0, a=1.0, m=3, gamma=1.0, p=3),
+], ids=["newton_kick", "two_term_damping_and_source"])
+def test_eigenmode_data_self_converge_at_second_order(params):
+    """With a nonlinear damping or source no exact solution is known, but the
+    mode is compatible data (the named profiles are not), so the difference
+    between successive meshes, at the coarse mesh's nodes, falls by about 4
+    in the max norm."""
+    finals = [evolve(n_r, params)[2] for n_r in (17, 33, 65)]
+    diffs = [np.abs(coarse - fine[::2, ::2]).max() for coarse, fine in zip(finals, finals[1:])]
+    assert 3.6 <= diffs[0] / diffs[1] <= 4.4, diffs

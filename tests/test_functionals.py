@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from hypothesis.extra.numpy import arrays
 
 import kwlab.geometry as G
+from kwlab import functionals, model
 from kwlab.functionals import (
     REPORT_COLUMNS,
     LyapunovConfig,
@@ -339,3 +343,70 @@ def test_report_agrees_exactly_with_functionals_and_monitor(small_mesh, par):
         else:
             want = None
         assert _crossing(small_mesh, st, par._plan, threshold) == want
+
+
+# ---------------------------------------------------------------------------
+# the monitor's max-norm bounds
+
+
+BOUND_MESHES = [build_annulus(1.0, 2.0, 5, 8), build_annulus(0.5, 3.0, 9, 16)]
+EXPONENTS = hs.one_of(hs.sampled_from([2.0, 3.0, 4.0]), hs.floats(2.0, 8.0))
+
+
+@hs.composite
+def monitor_field(draw, shape):
+    """Random values at a random scale, or a checkerboard +-M, whose every
+    grid difference is exactly 2M, so the bound is nearly tight; either may
+    hold one entry of 1e200, inf or NaN."""
+    scale = 10.0 ** draw(hs.integers(-3, 6))
+    if draw(hs.booleans()):
+        board = (-1.0) ** np.add.outer(np.arange(shape[-2]), np.arange(shape[-1]))
+        field = scale * np.broadcast_to(board, shape).copy()
+    else:
+        field = scale * draw(arrays(float, shape, elements=hs.floats(-1.0, 1.0)))
+    special = draw(hs.sampled_from([None, None, None, 1e200, math.inf, -math.inf, math.nan]))
+    if special is not None:
+        field[draw(hs.tuples(*(hs.integers(0, n - 1) for n in shape)))] = special
+    return field
+
+
+def exact_monitor(mesh, state, plan, threshold):
+    """Each cell's verdict from the exact norms: PhaseNorm, LpNorm or None."""
+    phase = functionals._phase_parts(mesh, state)[3]
+    lp, lq = functionals._source_norms(mesh, state.u, plan)
+    hit = np.where(phase < threshold * threshold,
+                   np.where(lp + lq < threshold, None, "LpNorm"), "PhaseNorm")
+    return hit.tolist()
+
+
+@given(data=hs.data())
+@settings(max_examples=300, deadline=None)
+def test_max_norm_bounds_hold_and_keep_the_monitors_verdict(data):
+    mesh = data.draw(hs.sampled_from(BOUND_MESHES))
+    n_cells = data.draw(hs.sampled_from([None, 2, 3]))
+    records = [ModelParams(gamma=1.0, p=data.draw(EXPONENTS), delta=1.0, q=data.draw(EXPONENTS))
+               for _ in range(n_cells or 1)]
+    plan = records[0]._plan if n_cells is None else model._Plan(records)
+    shape = (mesh.n_r, mesh.n_theta) if n_cells is None else (n_cells, mesh.n_r, mesh.n_theta)
+    state = State(data.draw(monitor_field(shape)), data.draw(monitor_field(shape)))
+    # outside any errstate: an overflow the bound lets out fails the test
+    phase_bound, source_bound = functionals._max_norm_bounds(mesh, state, plan)
+    with np.errstate(over="ignore", invalid="ignore"):  # the exact norms of 1e200
+        phase = functionals._phase_parts(mesh, state)[3]
+        lp, lq = functionals._source_norms(mesh, state.u, plan)
+        # a bound that is not finite certifies nothing
+        assert np.all((phase_bound >= phase) | ~np.isfinite(phase_bound))
+        assert np.all((source_bound >= lp + lq) | ~np.isfinite(source_bound))
+        # thresholds on each side of the exact norms and of their bounds
+        norms = (np.sqrt(phase), lp + lq, np.sqrt(phase_bound), source_bound, 1e8)
+        levels = [x for norm in norms for x in np.ravel(norm) if 0.0 < x < math.inf]
+        factors = hs.sampled_from([0.5, 0.999, 1.0, 1.001, 2.0])
+        for _ in range(4):
+            cells = [data.draw(hs.sampled_from(levels)) * data.draw(factors)
+                     for _ in range(n_cells or 1)]
+            threshold = cells[0] if n_cells is None else np.array(cells)
+            want = exact_monitor(mesh, state, plan, threshold)
+            got = _crossing(mesh, state, plan, threshold)
+            if n_cells is not None:
+                got = [None] * n_cells if got is None else got.tolist()
+            assert got == want

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from kwlab import model, solver
+from kwlab import functionals, model, solver
 from kwlab.functionals import State, dissipation_rate, make_report
 from kwlab.geometry import build_annulus
 from kwlab.model import ModelParams
@@ -643,6 +643,49 @@ def test_simulate_identity_residual_refines():
 
     ratio = accumulated(1.0) / accumulated(0.5)
     assert 3.0 <= ratio <= 8.5
+
+
+def test_calm_run_evaluates_the_exact_norms_only_for_its_reports(monkeypatch):
+    """Far below the threshold the monitor proves each step calm from max|u|
+    and max|v|, so only make_report evaluates the phase norm."""
+    calls = []
+    phase_parts = functionals._phase_parts
+    monkeypatch.setattr(functionals, "_phase_parts",
+                        lambda *args: calls.append(1) or phase_parts(*args))
+    cfg = SimConfig(params=ModelParams(gamma=1.0, p=2, alpha=1.0, m=2), n_r=33, n_theta=32,
+                    t_end=2.0, initial_scale=0.8, report_every=10)
+    reports, blowup = simulate(cfg)
+    assert not blowup.blew_up and blowup.steps > 100
+    assert len(calls) == len(reports)
+
+
+def test_exact_monitor_runs_from_the_first_uncertified_step_to_detection(monkeypatch):
+    """On the c06 record the bound certifies the early steps; from the first
+    step it cannot certify to the detection every step and rollback takes
+    the exact norms, and the run is the one the exact monitor alone gives."""
+    cfg = SimConfig(params=ModelParams(gamma=1.0, p=4, alpha=1.0, m=2), n_r=17, n_theta=16,
+                    t_end=100.0, dt_min=1e-5, blow_threshold=1e13, report_every=10,
+                    initial_mode="auto_negative_energy", initial_margin=1.0)
+    calls, exact = [], []
+    phase_parts, crossing = functionals._phase_parts, solver._crossing
+
+    def counted_crossing(*args):
+        before = len(calls)
+        hit = crossing(*args)
+        exact.append(len(calls) > before)
+        return hit
+
+    monkeypatch.setattr(functionals, "_phase_parts",
+                        lambda *args: calls.append(1) or phase_parts(*args))
+    monkeypatch.setattr(solver, "_crossing", counted_crossing)
+    reports, blowup = simulate(cfg)
+    first = exact.index(True)
+    assert 0 < first < len(exact) - 1 and all(exact[first:])
+    assert (blowup.t_detect, blowup.trigger, blowup.steps) == (1.1315285546875002, "LpNorm", 49)
+    # the bound proving nothing leaves the exact monitor alone
+    monkeypatch.setattr(functionals, "_max_norm_bounds",
+                        lambda *args: (np.float64(math.inf), np.float64(math.inf)))
+    assert simulate(cfg) == (reports, blowup)
 
 
 # ---------------------------------------------------------------------------
