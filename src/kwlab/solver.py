@@ -31,16 +31,18 @@ that starts the next one (first same as last), so simulate carries it from
 step to step.  A rolled-back step leaves the state, and with it the cached
 S(u_n), untouched.
 
-Blow-up detection: after each step the phase norm and the source norms are
-checked against the threshold; a crossing rolls the step back and halves dt,
-and is accepted as a detection only once dt has been driven to dt_min, so the
-reported bracket has width <= dt_min.  A step failure at the floor is flagged
-separately (DtFloor) rather than silently treated as a crossing.  Initial
-data that already crosses the monitors is an error.  The monitor first
-tries to prove a step calm from max|u| and max|v| alone
-(functionals._max_norm_bounds) and evaluates the exact norms only when it
-cannot, so no output changes; a run close to its threshold pays the full
-cost.  A stack is proved calm only when every one of its cells is.
+Step control: each cell's controller (_Cell) decides its dt, min(dt,
+t_end - t), and how a step ends.  An accepted step is reported when due and
+ends the run at t_end; after 64 in a row a halved dt doubles back.  A failed
+damping solve (DtFloor) and a monitor crossing (PhaseNorm, LpNorm) are
+rejected by one path: dt halves, and once it is at dt_min the run ends with
+the bracket (t, t + dt) of width <= dt_min, at the state before the step for
+DtFloor and at the crossing candidate otherwise.  Initial data that already
+crosses the monitors is an error.  The monitor first tries to prove a step
+calm from max|u| and max|v| alone (functionals._max_norm_bounds) and
+evaluates the exact norms only when it cannot, so no output changes; a run
+close to its threshold pays the full cost, and a stack is proved calm only
+when every one of its cells is.
 
 Stacks: the kernels (_accel, _solve_damped_kick, step, _crossing and the
 geometry operators under them) also take a stack of cells, arrays of shape
@@ -48,21 +50,15 @@ geometry operators under them) also take a stack of cells, arrays of shape
 then hold one value per cell, and a parameter on which the cells differ is
 an (n_cells, 1, 1) array; a 2-D input is computed exactly as before.
 simulate_batch steps the cells that share a mesh and their kernel branches
-(which weights are zero, whether the kick has a closed form) as one stack in
-lockstep.  The kernels read the stack's plan (model._Plan), which decides
-each term's branches once: a term that is off is skipped, a summand with
-exponent 2 is h(v) = v, the cells whose exponent NumPy takes by a shortcut
-are listed once, and linear dampings carry the closed-form kick's slopes.
-A stack of several cells builds its plan when it forms and at each
-compaction; a stack of one, and step given a ModelParams, read the record's
-cached plan, the one make_report reads too.  No kernel tests a weight or an
-exponent per call.
-Each cell keeps its own dt, clean streak and step count; a rollback is a
-masked where over the cell axis, and a cell that finishes (blow-up detected,
-DtFloor, or t_end) is retired: its rows are compacted out of the arrays.  No
-operation mixes cells, and a shortcut exponent is applied cell by cell, so
-each cell's result is bitwise the one it gets alone; simulate is the batch of
-one.
+as one stack in lockstep.  The kernels read the stack's plan (model._Plan),
+which decides each term's branches once: a term that is off is skipped, a
+summand with exponent 2 is h(v) = v, the cells whose exponent NumPy takes by
+a shortcut are listed once, and linear dampings carry the closed-form kick's
+slopes; no kernel tests a weight or an exponent per call.  The stack loop
+(_run_stack) only gathers the cells' values and applies their verdicts as
+masks, and a finished cell's rows are compacted out.  No operation mixes
+cells, and a shortcut exponent is applied cell by cell, so each cell's
+result is bitwise the one it gets alone; simulate is the batch of one.
 """
 from __future__ import annotations
 
@@ -515,9 +511,10 @@ def _crossing(
 
 @dataclass(slots=True)
 class _Cell:
-    """The run of one cell of a stack: what simulate keeps besides the
-    cell's rows of the stack's arrays."""
+    """One cell's step controller: it decides the cell's dt and how each step
+    ends, and keeps the cell's run but for its rows of the stack's arrays."""
 
+    mesh: AnnulusMesh
     cfg: SimConfig
     lyap: functionals.LyapunovConfig | None
     reports: list[EnergyReport]
@@ -527,34 +524,56 @@ class _Cell:
     streak: int = 0  # accepted steps since dt last changed
     result: tuple[list[EnergyReport], BlowupReport] | None = None
 
-    def accept(self, mesh: AnnulusMesh, state: State) -> None:
-        """Count an accepted step that ended at `state`; report it when due."""
+    @classmethod
+    def start(cls, mesh: AnnulusMesh, cfg: SimConfig, state: State) -> "_Cell":
+        """Report the initial state; ValueError if it already crosses a monitor."""
+        try:
+            lyap = functionals.default_k(cfg.params)
+        except ValueError:
+            lyap = None
+        report = make_report(mesh, state, cfg.params, lyap)
+        hit = _crossing(mesh, state, cfg.params._plan, cfg.blow_threshold)
+        if hit is not None:
+            raise ValueError(f"initial data already crosses the {hit} monitor "
+                             f"(blow_threshold={cfg.blow_threshold})")
+        return cls(mesh, cfg, lyap, [report], t=state.t, dt=cfg.dt)
+
+    def next_dt(self) -> float:
+        return min(self.dt, self.cfg.t_end - self.t)
+
+    def accept(self, state: State) -> None:
+        """Count an accepted step that ended at `state`; report it when due,
+        and end the run once it reaches t_end."""
+        cfg = self.cfg
         self.t = state.t
         self.accepted += 1
         self.streak += 1
-        if self.streak >= 64 and self.dt < self.cfg.dt:
-            self.dt = min(2.0 * self.dt, self.cfg.dt)
+        if self.streak >= 64 and self.dt < cfg.dt:
+            self.dt = min(2.0 * self.dt, cfg.dt)
             self.streak = 0
-        if self.accepted % self.cfg.report_every == 0:
+        if self.accepted % cfg.report_every == 0:
             self.reports.append(
-                make_report(mesh, state, self.cfg.params, self.lyap, prev=self.reports[-1])
+                make_report(self.mesh, state, cfg.params, self.lyap, prev=self.reports[-1])
             )
+        if not self.t < cfg.t_end - 1e-12 * cfg.t_end:
+            self.finish(state, "None", None)
 
-    def reject(self) -> bool:
-        """Roll back a rejected step; True when dt is already at the floor,
-        which ends the run."""
+    def reject(self, final: State, cause: str, t_try: float) -> None:
+        """Roll back a step to t_try rejected for `cause` (DtFloor, PhaseNorm
+        or LpNorm): halve dt, or at the floor end the run at `final`, the
+        blow-up bracketed by (t, t_try)."""
         if self.dt <= self.cfg.dt_min:
-            return True
-        self.dt = max(0.5 * self.dt, self.cfg.dt_min)
-        self.streak = 0
-        return False
+            self.finish(final, cause, (self.t, t_try))
+        else:
+            self.dt = max(0.5 * self.dt, self.cfg.dt_min)
+            self.streak = 0
 
-    def finish(self, mesh: AnnulusMesh, final: State, trigger: str, bracket) -> None:
+    def finish(self, final: State, trigger: str, bracket) -> None:
         """End the run at `final`; `bracket` is None unless it blew up."""
         reports = self.reports
         if reports[-1].t != final.t:
             reports.append(
-                make_report(mesh, final, self.cfg.params, self.lyap, prev=reports[-1])
+                make_report(self.mesh, final, self.cfg.params, self.lyap, prev=reports[-1])
             )
         self.result = reports, BlowupReport(
             blew_up=bracket is not None,
@@ -567,103 +586,69 @@ class _Cell:
         )
 
 
-def _cell_values(values: list, one: bool):
-    """Per-cell scalars as the kernels take them: the value itself for a
-    stack of one, else an array."""
-    return values[0] if one else np.array(values)
-
-
-def _row(x: np.ndarray, i: int) -> np.ndarray:
-    """Cell i's field of a stack's array (a stack of one holds a 2-D array)."""
-    return x if x.ndim == 2 else x[i]
-
-
 def _run_stack(
     mesh: AnnulusMesh, cfgs: list[SimConfig], states: list[State]
 ) -> list[tuple[list[EnergyReport], BlowupReport]]:
     """Step cells that share a mesh and their kernel branches in lockstep.
 
-    The stack's arrays hold one row per live cell; each cell keeps its own
-    dt, clean streak and step count.  A crossing or a failed damping solve
-    rolls back only the cells it hit (a masked where), and the cells a
-    failed solve spared retry the same step.  A finished cell leaves the
-    arrays.  A stack of one runs on its cell's own 2-D arrays with a scalar
-    dt: numpy then combines them with the mesh's arrays without
+    Each cell's _Cell decides its dt and how its step ends; this loop only
+    gathers the cells' values and applies the verdicts as masks.  The stack
+    forms in one place, for its live members: a finished cell's rows leave
+    the arrays and the plan and thresholds are rebuilt.  A stack of one runs
+    on 2-D arrays with a scalar dt and threshold and the record's cached
+    plan: numpy then combines them with the mesh's arrays without
     broadcasting, which a one-row stack would pay for on every operation.
     """
-    cells = []
-    for cfg, st in zip(cfgs, states):
-        try:
-            lyap = functionals.default_k(cfg.params)
-        except ValueError:
-            lyap = None
-        report = make_report(mesh, st, cfg.params, lyap)
-        cells.append(_Cell(cfg, lyap, [report], t=st.t, dt=cfg.dt))
-    one = len(cells) == 1
+    cells = [_Cell.start(mesh, cfg, st) for cfg, st in zip(cfgs, states)]
+    live = cells
     u = np.stack([st.u for st in states])
     v = np.stack([st.v for st in states])
-    if one:
-        u, v = u[0], v[0]
-    plan = cfgs[0].params._plan if one else _Plan([cfg.params for cfg in cfgs])
-    threshold = _cell_values([cfg.blow_threshold for cfg in cfgs], one)
-    hit = _crossing(mesh, State(u, v), plan, threshold)
-    if hit is not None:
-        hits = [hit] if one else list(hit)
-        j = next(j for j, name in enumerate(hits) if name is not None)
-        raise ValueError(
-            f"initial data already crosses the {hits[j]} monitor "
-            f"(blow_threshold={cfgs[j].blow_threshold})"
-        )
-    s_u = _accel(mesh, u, plan)
-
-    live = cells
-    while True:
-        for i, c in enumerate(live):
-            if c.result is None and not c.t < c.cfg.t_end - 1e-12 * c.cfg.t_end:
-                c.finish(mesh, State(_row(u, i), _row(v, i), c.t), "None", None)
-        if any(c.result is not None for c in live):
-            keep = [c.result is None for c in live]
-            live = [c for c in live if c.result is None]
-            if not live:
-                return [c.result for c in cells]
-            u, v, s_u = u[keep], v[keep], s_u[keep]
-            one = len(live) == 1
-            if one:
-                u, v, s_u = u[0], v[0], s_u[0]
-            records = [c.cfg.params for c in live]
-            plan = records[0]._plan if one else _Plan(records)
-            threshold = _cell_values([c.cfg.blow_threshold for c in live], one)
-        dt_step = [min(c.dt, c.cfg.t_end - c.t) for c in live]
-        state = State(u, v, _cell_values([c.t for c in live], one))
-        try:
-            cand, s_cand = step(mesh, state, plan, _cell_values(dt_step, one), s_u)
-        except StepFailure as exc:
-            for i in [0] if one else np.flatnonzero(exc.cells):
-                c = live[i]
-                if c.reject():
-                    bracket = (c.t, c.t + dt_step[i])
-                    c.finish(mesh, State(_row(u, i), _row(v, i), c.t), "DtFloor", bracket)
-            continue  # the cells the failed solve spared retry the same step
-        hit = _crossing(mesh, cand, plan, threshold)
-        hits = [None] * len(live) if hit is None else [hit] if one else hit
-        t_new = [cand.t] if one else cand.t.tolist()
-        for i, c in enumerate(live):
-            new = State(_row(cand.u, i), _row(cand.v, i), t_new[i])
-            if hits[i] is None:
-                c.accept(mesh, new)
-            elif c.reject():
-                # the detected state itself is the final report, so the
-                # over-threshold norms at t_detect are visible downstream
-                c.finish(mesh, new, hits[i], (c.t, new.t))
-        if hit is None:
-            u, v, s_u = cand.u, cand.v, s_cand
+    s_u = None
+    while live:
+        if len(live) == 1:
+            u, v = u[0], v[0]
+            s_u = None if s_u is None else s_u[0]
+            plan, threshold = live[0].cfg.params._plan, live[0].cfg.blow_threshold
+            gather, split = (lambda xs: xs[0]), (lambda x: [x])
         else:
-            accept = np.equal(hit, None)
-            if accept.any():
-                grid = accept[:, None, None]
-                u = np.where(grid, cand.u, u)
-                v = np.where(grid, cand.v, v)
-                s_u = np.where(grid, s_cand, s_u)
+            plan = _Plan([c.cfg.params for c in live])
+            threshold = np.array([c.cfg.blow_threshold for c in live])
+            gather, split = np.array, list
+        if s_u is None:
+            s_u = _accel(mesh, u, plan)
+        while all(c.result is None for c in live):
+            dt, t = [c.next_dt() for c in live], gather([c.t for c in live])
+            try:
+                cand, s_cand = step(mesh, State(u, v, t), plan, gather(dt), s_u)
+            except StepFailure as exc:
+                failed = [True] if exc.cells is None else exc.cells
+                for c, dt_i, fail, u_i, v_i in zip(live, dt, failed, split(u), split(v)):
+                    if fail:
+                        c.reject(State(u_i, v_i, c.t), "DtFloor", c.t + dt_i)
+                continue  # the cells the failed solve spared retry the same step
+            hit = _crossing(mesh, cand, plan, threshold)
+            hits = [None] * len(live) if hit is None else split(hit)
+            for c, dt_i, name, u_i, v_i in zip(live, dt, hits, split(cand.u), split(cand.v)):
+                # c.t + dt_i is the candidate's t, which step computes the same way
+                new = State(u_i, v_i, c.t + dt_i)
+                if name is None:
+                    c.accept(new)
+                else:  # a detection ends at the candidate whose norms crossed
+                    c.reject(new, name, new.t)
+            if hit is None:
+                u, v, s_u = cand.u, cand.v, s_cand
+            else:
+                accept = np.equal(hit, None)
+                if accept.any():
+                    grid = accept[:, None, None]
+                    u = np.where(grid, cand.u, u)
+                    v = np.where(grid, cand.v, v)
+                    s_u = np.where(grid, s_cand, s_u)
+        keep = [c.result is None for c in live]
+        live = [c for c in live if c.result is None]
+        if live:
+            u, v, s_u = u[keep], v[keep], s_u[keep]
+    return [c.result for c in cells]
 
 
 def simulate_batch(
@@ -675,8 +660,9 @@ def simulate_batch(
     stack (see _run_stack); each cell's result is bitwise the one simulate
     gives it alone.  `initials` overrides the configured initial data cell by
     cell (None keeps it).  Raises ValueError when an initial state does not
-    have the mesh's shape, is nonzero on the pinned circle, or already
-    crosses the blow-up monitors.
+    have the mesh's shape, is nonzero on the pinned circle, has a t that is
+    not finite or not below t_end (the end test of _Cell.accept, so every
+    run takes a step), or already crosses the blow-up monitors.
     """
     cfgs = list(cfgs)
     initials = [None] * len(cfgs) if initials is None else list(initials)
@@ -695,6 +681,9 @@ def simulate_batch(
             if initial.u.ndim != 2 or initial.u[0].any() or initial.v[0].any():
                 raise ValueError(f"initial u and v must have shape {shape[2:]} and be "
                                  "zero on the pinned circle (row 0)")
+            if not -math.inf < initial.t < cfg.t_end - 1e-12 * cfg.t_end:
+                raise ValueError(f"initial t must be finite and below t_end={cfg.t_end}, "
+                                 f"got {initial.t}")
         states.append(initial)
         # the plan's key decides the kernels' branches; lin follows from it
         stacks.setdefault((shape, cfg.params._plan.key), []).append(i)

@@ -765,6 +765,10 @@ def test_simulate_batch_damping_failure_fails_only_its_cell(monkeypatch):
     failed = batch[1][1]
     assert failed.trigger == "DtFloor" and failed.steps == 0
     assert failed.dt_final == cfgs[1].dt_min
+    # a failed solve ends at the state before the step, a crossing at the
+    # candidate: the bracket is the floor step, the final report the t = 0 one
+    assert failed.t_bracket == (0.0, cfgs[1].dt_min)
+    assert batch[1][0] == [failed.final_report] and failed.final_report.t == 0.0
     assert [rep.trigger for _, rep in batch[::2]] == ["LpNorm", "LpNorm"]
 
 
@@ -822,3 +826,34 @@ def test_simulate_rejects_initial_data_past_the_monitors(scale):
         simulate(calm, initial=st)
     with pytest.raises(ValueError, match="initial data already crosses"):
         simulate_batch([calm, calm], [None, st])
+
+
+def test_stacked_initial_crossings_name_the_first_cell():
+    """Two stack-mates whose data cross at t = 0, each under its own
+    threshold: the error names the first cell's monitor and threshold."""
+    mesh = build_annulus(1.0, 2.0, 17, 16)
+    hot = SimConfig(params=SOURCE_PARAMS, n_r=17, n_theta=16, t_end=1.0, initial_scale=1e4)
+    st = initial_state(mesh, SOURCE_PARAMS, hot)
+    lp = dataclasses.replace(hot, blow_threshold=1e13)  # only the Lp norm crosses
+    phase = dataclasses.replace(hot, blow_threshold=1e3)  # the phase norm crosses
+    for cfgs, message in (
+        ([lp, phase], f"LpNorm monitor (blow_threshold={lp.blow_threshold})"),
+        ([phase, lp], f"PhaseNorm monitor (blow_threshold={phase.blow_threshold})"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate_batch(cfgs, [st, st])
+
+
+@pytest.mark.parametrize("calm, t", [
+    (True, math.nan), (True, math.inf), (True, 1.0), (True, 2.0), (False, -math.inf),
+])
+def test_simulate_rejects_an_initial_t_outside_the_run(calm, t):
+    """A supplied initial t must be finite and below t_end, or the run would
+    end after 0 steps (nan, t_end and beyond) or bracket a blow-up at
+    (-inf, -inf)."""
+    cfg = SimConfig(params=SOURCE_PARAMS, n_r=9, n_theta=8, t_end=1.0,
+                    initial_mode="scaled" if calm else "auto_negative_energy",
+                    initial_scale=0.1 if calm else None)
+    good = initial_state(build_annulus(1.0, 2.0, 9, 8), SOURCE_PARAMS, cfg)
+    with pytest.raises(ValueError, match="initial t must be finite and below t_end"):
+        simulate(cfg, State(good.u, good.v, t))
