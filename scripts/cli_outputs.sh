@@ -13,7 +13,10 @@
 # 129x128 calm run, and one run each with an explicit dt and with cfl 0.3
 # (the two ways to set the step size); six ClassifyAndSimulate scans, two of
 # them on an alpha or beta axis over linear-damping cells; two `classify`
-# lines; two `oracle` queries.  For the classifier, four ClassifyOnly grids
+# lines; six `oracle` queries: two plain ones, l near 1 (1.05), a huge psi0
+# (1e300), two trajectories (one with --threshold 1e3), and the refused
+# near-edge query psi0 = 1.0000001, whose exit code 3 is recorded in
+# stdout.txt.  For the classifier, four ClassifyOnly grids
 # at each N = 3..7: the interior side (p x m), the boundary side (q x mu),
 # both sources (p x q), and one corner grid whose first cell sits exactly on
 # the (1.12)/(1.11) borderline 1 + r/m' of each side with m = mu = 7 and
@@ -105,3 +108,7 @@ for line in "3 6.142857142857142 2" "4 4.428571428571429 6.142857142857142" \
 done
 kwlab oracle --l 2 --psi0 1.5
 kwlab oracle --l 3 --c 0.5 --psi0 2 --trajectory oracle_traj.csv
+kwlab oracle --l 1.05 --c 1 --psi0 2
+kwlab oracle --l 1.5 --c 1 --psi0 1e300
+kwlab oracle --l 2 --c 1 --psi0 2 --threshold 1e3 --trajectory oracle_threshold.csv
+kwlab oracle --l 2 --c 1 --psi0 1.0000001 || echo "exit $?" >>stdout.txt

@@ -9,14 +9,14 @@ The package has three layers:
 * an energy-consistent radial/angular finite-difference simulator
   (:mod:`kwlab.geometry`, :mod:`kwlab.functionals`, :mod:`kwlab.solver`)
   that tracks the energy identity and detects finite-time blow-up;
-* a scalar ODE oracle (:mod:`kwlab.oracle`) with a quadrature-exact
-  blow-up time, used to cross-check the detector.
+* a scalar ODE oracle (:mod:`kwlab.oracle`) that computes the blow-up
+  time of the comparison ODE two independent ways, by quadrature and by
+  integrating the ODE.
 """
 
 from .functionals import (
     REPORT_COLUMNS,
     EnergyReport,
-    LyapunovConfig,
     State,
     default_k,
     dissipation_rate,
@@ -48,7 +48,6 @@ __all__ = [
     "BlowupReport",
     "CriticalExponents",
     "EnergyReport",
-    "LyapunovConfig",
     "ModelParams",
     "OdeProblem",
     "REPORT_COLUMNS",

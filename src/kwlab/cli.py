@@ -219,7 +219,7 @@ def run_oracle(
     l: float,
     c: float,
     psi0: float,
-    tol: float = 1e-10,
+    *,
     blow_threshold: float | None = None,
     trajectory_path: str | Path | None = None,
 ) -> float:
@@ -234,7 +234,7 @@ def run_oracle(
         traj = oracle_mod.integrate_comparison(
             prob, 1e6 if blow_threshold is None else blow_threshold
         )
-    t_m = oracle_mod.blowup_time(prob, tol)
+    t_m = oracle_mod.blowup_time(prob)
     out = [f"T_m = {fmt_json_float(t_m)}"]
     if trajectory_path is not None:
         lines = ["t,y"]
@@ -314,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--l", type=float, required=True)
     p_oracle.add_argument("--c", type=float, default=0.0)
     p_oracle.add_argument("--psi0", type=float, required=True)
-    p_oracle.add_argument("--tol", type=float, default=1e-10)
     p_oracle.add_argument("--threshold", type=float, default=None)
     p_oracle.add_argument("--trajectory", default=None, help="CSV path for (t, y)")
 
@@ -338,7 +337,7 @@ def main(argv=None) -> int:
             run_scan(spec, args.out)
         elif args.command == "oracle":
             run_oracle(
-                args.l, args.c, args.psi0, args.tol,
+                args.l, args.c, args.psi0,
                 blow_threshold=args.threshold,
                 trajectory_path=args.trajectory,
             )

@@ -8,8 +8,9 @@ Conventions (matching the continuous problem):
     E              1/2 kinetic + 1/2 ∫|grad u|^2 + 1/2 ∫|grad_tang u|^2 - J
     K              -E (the blow-up bookkeeping quantity; K > 0 on
                    negative-energy trajectories and is nondecreasing)
-    Z              K^{1-k} + omega*(u', u)_{H0}, the Lyapunov functional
-                   whose superlinear growth drives the blow-up argument
+    Z              K^{1-k} + (u', u)_{H0} with k = default_k(params), the
+                   Lyapunov functional whose superlinear growth drives the
+                   blow-up argument
 
 The gradient terms use the staggered quadratures of geometry.gradient_energy,
 so E is exactly the invariant of the undamped sourceless semi-discrete flow;
@@ -29,7 +30,6 @@ from .model import ModelParams, _Plan
 __all__ = [
     "State",
     "EnergyReport",
-    "LyapunovConfig",
     "REPORT_COLUMNS",
     "default_k",
     "dissipation_rate",
@@ -87,20 +87,6 @@ class EnergyReport:
 REPORT_COLUMNS = tuple(f.name for f in dataclasses.fields(EnergyReport))
 
 
-@dataclass(frozen=True)
-class LyapunovConfig:
-    """Exponent k in (0, 1/2) and weight omega > 0."""
-
-    k: float
-    omega: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.k < 0.5:
-            raise ValueError(f"k must lie in (0, 1/2), got {self.k}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-
-
 def _phase_parts(mesh: AnnulusMesh, state: State) -> tuple[float, float, float, float]:
     """(kinetic, grad_omega, grad_gamma, phase_norm_sq) of a snapshot.
 
@@ -156,13 +142,15 @@ def _source_terms(plan: _Plan, lp: float, lq: float) -> tuple[float, float]:
     )
 
 
-def default_k(params: ModelParams) -> LyapunovConfig:
-    """Largest admissible Lyapunov exponent for the parameter record.
+def default_k(params: ModelParams) -> float | None:
+    """Largest admissible Lyapunov exponent k for the parameter record, or
+    None when there is none: no source term is on, or k <= 0.
 
     k = min over the active terms of {1/m - 1/p (interior damping),
     1/mu - 1/p (boundary damping), 1/2 - 1/p (interior source),
-    1/2 - 1/q (boundary source)}, omega = 1.  A term is active when its
-    weight (alpha, beta, gamma, delta respectively) is positive.
+    1/2 - 1/q (boundary source)}.  A term is active when its weight (alpha,
+    beta, gamma, delta respectively) is positive.  An admissible k lies in
+    (0, 1/2), since the source candidates are below 1/2.
     """
     terms = []
     if params.alpha > 0:
@@ -173,14 +161,8 @@ def default_k(params: ModelParams) -> LyapunovConfig:
         terms.append(0.5 - 1.0 / params.p)
     if params.delta > 0:
         terms.append(0.5 - 1.0 / params.q)
-    if params.gamma == 0 and params.delta == 0:
-        raise ValueError("no admissible Lyapunov exponent: no source term")
-    k0 = min(terms)
-    if not k0 > 0.0:
-        raise ValueError(
-            f"no admissible Lyapunov exponent: min of candidate terms is {k0}"
-        )
-    return LyapunovConfig(k=k0, omega=1.0)
+    k = min(terms, default=0.0)
+    return k if k > 0.0 and (params.gamma > 0 or params.delta > 0) else None
 
 
 def dissipation_rate(mesh: AnnulusMesh, state: State, params: ModelParams) -> float:
@@ -214,17 +196,13 @@ def energy_identity_residual(report_prev: EnergyReport, report_next: EnergyRepor
 
 
 def make_report(
-    mesh: AnnulusMesh,
-    state: State,
-    params: ModelParams,
-    lyap: LyapunovConfig | None = None,
-    prev: EnergyReport | None = None,
+    mesh: AnnulusMesh, state: State, params: ModelParams, *, prev: EnergyReport | None = None
 ) -> EnergyReport:
     """Evaluate every monitored functional at one snapshot.
 
     This is the one place J, E, K and Z are computed.  Z is filled only when
-    a Lyapunov config is supplied and K > 0; the identity residual is
-    measured against `prev` (0 for the first report).
+    K > 0 (in every cell of a stack) and default_k(params) is not None; the
+    identity residual is measured against `prev` (0 for the first report).
     """
     state = _check_state(mesh, state)
     u, v = state.u, state.v
@@ -236,11 +214,12 @@ def make_report(
     e_val = 0.5 * kin + 0.5 * grad_omega + 0.5 * grad_gamma - j_val
     k_val = -e_val
     z_val = None
-    if lyap is not None and k_val > 0.0:
+    k_min = k_val.min() if isinstance(k_val, np.ndarray) else k_val  # a stack's least K
+    if k_min > 0.0 and (k := default_k(params)) is not None:
         pairing = integrate_interior(mesh, v * u) + integrate_boundary(
             mesh, v[..., -1, :] * u[..., -1, :]
         )
-        z_val = k_val ** (1.0 - lyap.k) + lyap.omega * pairing
+        z_val = k_val ** (1.0 - k) + pairing
     diss = dissipation_rate(mesh, state, params)
     report = EnergyReport(
         t=state.t,

@@ -11,6 +11,9 @@ whose solution is increasing and reaches +infinity at the finite time
         T_m(psi0)  =  integral  d tau / (tau^l - c).
                         psi0
 
+The blow-up argument's Lyapunov functional Z = K^(1-k) + (u', u), with
+k = functionals.default_k, obeys Z' >= xi*Z^l, l = 1/(1-k): this ODE at c = 0.
+
 This module computes T_m by quadrature with an explicit error budget, and
 independently integrates the ODE itself so the two routes can be checked
 against each other.  Only the quadrature needs scipy, and blowup_time
@@ -21,21 +24,18 @@ Quadrature route (blowup_time): w = tau^(1-l) makes T_m a proper integral,
     T_m = 1/(l-1) * integral_0^(psi0^(1-l)) dw / (1 - c*w^k),    k = l/(l-1),
 
 whose integrand lies in [1, 1/(1 - c*psi0^(-l))], finite as psi0 > c^(1/l).
-One QUADPACK call with absolute budget min(tol, 1e-10)*(l-1)/2 leaves at most
-tol/2 on T_m, and c*w^k is formed as (c^(1/k)*w)^k, whose base stays below
-1, so no power overflows.  A tol above the default 1e-10 relaxes only the
-conditioning guard below, never the quadrature: near the edge a loose budget
-let QUADPACK stop on a coarse partition that misses the integrand's spike at
-the upper limit (tol 10 returned 4.549 for T_m = 18.368).  RuntimeError
-replaces a T_m that cannot be vouched for: on a QUADPACK failure or an error
-estimate over budget, and near the edge psi0 -> c^(1/l), where T_m diverges
-logarithmically, once a rounding of psi0 (which moves T_m by about
-eps*psi0^(1-l)/(1 - c*psi0^(-l))) or of the upper limit (that over l-1)
-moves T_m by more than tol/4.
+T_m is given to the absolute tolerance tol = 1e-10: one QUADPACK call with
+absolute budget tol*(l-1)/2 leaves at most tol/2 on T_m, and c*w^k is formed
+as (c^(1/k)*w)^k, whose base stays below 1, so no power overflows.
+RuntimeError replaces a T_m that cannot be vouched for: on a QUADPACK
+failure or an error estimate over budget, and near the edge
+psi0 -> c^(1/l), where T_m diverges logarithmically, once a rounding of psi0
+(which moves T_m by about eps*psi0^(1-l)/(1 - c*psi0^(-l))) or of the upper
+limit (that over l-1) moves T_m by more than tol/4.
 
 Integration route (integrate_comparison): explicit RK4 with the step law
-dt = eta * y^(1-l), which keeps the relative growth per step bounded as
-y -> infinity, so a finite threshold is reached in O(log(threshold)/eta)
+dt = 1e-3 * y^(1-l), which keeps the relative growth per step bounded as
+y -> infinity, so a finite threshold is reached in O(1000*log(threshold))
 steps.  The hitting time of a threshold Y underestimates T_m by exactly the
 remaining tail T_m(Y).  A step that does not raise y (it rounds to y, or is
 NaN) raises RuntimeError instead of looping forever.
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 __all__ = ["OdeProblem", "blowup_time", "integrate_comparison"]
 
-_DEFAULT_TOL = 1e-10
+_TOL = 1e-10  # absolute tolerance on T_m
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,11 @@ class OdeProblem:
             )
 
 
-def blowup_time(prob: OdeProblem, tol: float = _DEFAULT_TOL) -> float:
-    """T_m(psi0) = integral_{psi0}^inf dtau/(tau^l - c), abs error <= tol.
+def blowup_time(prob: OdeProblem) -> float:
+    """T_m(psi0) = integral_{psi0}^inf dtau/(tau^l - c), abs error <= 1e-10.
 
-    Raises RuntimeError when T_m is too ill-conditioned or quad misses tol.
+    Raises RuntimeError when T_m is too ill-conditioned or quad misses 1e-10.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
     l, c, psi0 = prob.l, prob.c, prob.psi0
     k = l / (l - 1.0)
     scale = c ** (1.0 / k)
@@ -90,10 +88,10 @@ def blowup_time(prob: OdeProblem, tol: float = _DEFAULT_TOL) -> float:
     gap = 1.0 - (scale * top) ** k
     # T_m's shift under one rounding (relative eps) of psi0 or of top
     shift = math.ulp(1.0) * top / (min(l - 1.0, 1.0) * gap) if gap > 0 else math.inf
-    if not shift <= 0.25 * tol:
+    if not shift <= 0.25 * _TOL:
         raise RuntimeError(f"T_m is too ill-conditioned for l={l}, c={c}, psi0={psi0}: "
                            f"one rounding moves it by {shift:.3g}, over tol/4")
-    budget = 0.5 * min(tol, _DEFAULT_TOL) * (l - 1.0)
+    budget = 0.5 * _TOL * (l - 1.0)
     from scipy.integrate import quad  # the only scipy use in kwlab
 
     # full_output=1 appends QUADPACK's message only when it reports a failure
@@ -111,11 +109,11 @@ def blowup_time(prob: OdeProblem, tol: float = _DEFAULT_TOL) -> float:
 
 
 def integrate_comparison(
-    prob: OdeProblem, blow_threshold: float = 1e6, eta: float = 1e-3
+    prob: OdeProblem, blow_threshold: float = 1e6
 ) -> list[tuple[float, float]]:
     """Integrate y' = |y|^l - c until y >= blow_threshold.
 
-    Classical RK4 with the adaptive step dt = eta*y^(1-l); the returned
+    Classical RK4 with the adaptive step dt = 1e-3*y^(1-l); the returned
     trajectory ends at the threshold crossing, located by linear
     interpolation inside the final step, so trajectory[-1] is
     (t_hit, blow_threshold).  Raises RuntimeError when a step fails to raise y.
@@ -125,8 +123,6 @@ def integrate_comparison(
             f"blow_threshold must exceed psi0 and be finite "
             f"(blow_threshold={blow_threshold}, psi0={prob.psi0})"
         )
-    if not 0 < eta < math.inf:
-        raise ValueError(f"eta must be positive and finite, got {eta}")
     l, c = prob.l, prob.c
     step_power = 1.0 - l
 
@@ -134,7 +130,7 @@ def integrate_comparison(
     traj = [(t, y)]
     while y < blow_threshold:
         # the right-hand side |y|^l - c, inlined into the hot loop
-        dt = eta * y**step_power
+        dt = 1e-3 * y**step_power
         k1 = abs(y) ** l - c
         k2 = abs(y + 0.5 * dt * k1) ** l - c
         k3 = abs(y + 0.5 * dt * k2) ** l - c

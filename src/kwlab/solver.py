@@ -516,7 +516,6 @@ class _Cell:
 
     mesh: AnnulusMesh
     cfg: SimConfig
-    lyap: functionals.LyapunovConfig | None
     reports: list[EnergyReport]
     t: float
     dt: float
@@ -527,16 +526,12 @@ class _Cell:
     @classmethod
     def start(cls, mesh: AnnulusMesh, cfg: SimConfig, state: State) -> "_Cell":
         """Report the initial state; ValueError if it already crosses a monitor."""
-        try:
-            lyap = functionals.default_k(cfg.params)
-        except ValueError:
-            lyap = None
-        report = make_report(mesh, state, cfg.params, lyap)
+        report = make_report(mesh, state, cfg.params)
         hit = _crossing(mesh, state, cfg.params._plan, cfg.blow_threshold)
         if hit is not None:
             raise ValueError(f"initial data already crosses the {hit} monitor "
                              f"(blow_threshold={cfg.blow_threshold})")
-        return cls(mesh, cfg, lyap, [report], t=state.t, dt=cfg.dt)
+        return cls(mesh, cfg, [report], t=state.t, dt=cfg.dt)
 
     def next_dt(self) -> float:
         return min(self.dt, self.cfg.t_end - self.t)
@@ -553,7 +548,7 @@ class _Cell:
             self.streak = 0
         if self.accepted % cfg.report_every == 0:
             self.reports.append(
-                make_report(self.mesh, state, cfg.params, self.lyap, prev=self.reports[-1])
+                make_report(self.mesh, state, cfg.params, prev=self.reports[-1])
             )
         if not self.t < cfg.t_end - 1e-12 * cfg.t_end:
             self.finish(state, "None", None)
@@ -573,7 +568,7 @@ class _Cell:
         reports = self.reports
         if reports[-1].t != final.t:
             reports.append(
-                make_report(self.mesh, final, self.cfg.params, self.lyap, prev=reports[-1])
+                make_report(self.mesh, final, self.cfg.params, prev=reports[-1])
             )
         self.result = reports, BlowupReport(
             blew_up=bracket is not None,
@@ -662,7 +657,8 @@ def simulate_batch(
     cell (None keeps it).  Raises ValueError when an initial state does not
     have the mesh's shape, is nonzero on the pinned circle, has a t that is
     not finite or not below t_end (the end test of _Cell.accept, so every
-    run takes a step), or already crosses the blow-up monitors.
+    run takes a step) or so large in magnitude that t + dt_min rounds to t
+    (the run could never advance), or already crosses the blow-up monitors.
     """
     cfgs = list(cfgs)
     initials = [None] * len(cfgs) if initials is None else list(initials)
@@ -681,9 +677,10 @@ def simulate_batch(
             if initial.u.ndim != 2 or initial.u[0].any() or initial.v[0].any():
                 raise ValueError(f"initial u and v must have shape {shape[2:]} and be "
                                  "zero on the pinned circle (row 0)")
-            if not -math.inf < initial.t < cfg.t_end - 1e-12 * cfg.t_end:
-                raise ValueError(f"initial t must be finite and below t_end={cfg.t_end}, "
-                                 f"got {initial.t}")
+            t = initial.t
+            if not -math.inf < t < cfg.t_end - 1e-12 * cfg.t_end or t + cfg.dt_min == t:
+                raise ValueError(f"initial t must be finite and below t_end={cfg.t_end}, and "
+                                 f"t + dt_min must exceed t (dt_min={cfg.dt_min}), got {t}")
         states.append(initial)
         # the plan's key decides the kernels' branches; lin follows from it
         stacks.setdefault((shape, cfg.params._plan.key), []).append(i)

@@ -175,15 +175,18 @@ def test_oracle_rejects_bad_problem(capsys):
 @pytest.mark.parametrize("extra, fragment", [
     (["--threshold", "0"], "blow_threshold must exceed psi0"),
     (["--threshold", "inf"], "blow_threshold must exceed psi0"),
-    (["--tol", "inf"], "tol must be positive and finite"),
+    # T_m's tolerance is fixed, so argparse refuses the flag: SystemExit(2)
+    (["--tol", "1e-12"], "unrecognized arguments: --tol 1e-12"),
     (["--threshold", "1"], "blow_threshold must exceed psi0"),
 ])
 def test_oracle_rejects_bad_tolerance_and_threshold(tmp_path, capsys, extra, fragment):
     path = tmp_path / "t.csv"
-    assert cli.main(
-        ["oracle", "--l", "2", "--c", "1", "--psi0", "2", "--trajectory", str(path)]
-        + extra
-    ) == 2
+    argv = ["oracle", "--l", "2", "--c", "1", "--psi0", "2", "--trajectory", str(path)]
+    try:
+        code = cli.main(argv + extra)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     captured = capsys.readouterr()
     assert fragment in captured.err
     assert captured.out == ""

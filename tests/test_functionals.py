@@ -11,7 +11,6 @@ import kwlab.geometry as G
 from kwlab import functionals, model
 from kwlab.functionals import (
     REPORT_COLUMNS,
-    LyapunovConfig,
     State,
     default_k,
     dissipation_rate,
@@ -117,15 +116,15 @@ def test_K_is_negated_E(small_mesh):
 def test_Z_margin_one_is_one(small_mesh):
     par = ModelParams(gamma=1.0, p=4)
     st = negative_energy_data(small_mesh, par, "ramp", margin=1.0)
-    z = make_report(small_mesh, st, par, LyapunovConfig(k=0.25)).Z
+    z = make_report(small_mesh, st, par).Z
     assert z == pytest.approx(1.0, abs=1e-9)
 
 
 def test_Z_power_evaluation(small_mesh):
-    # K = 4, k = 1/4, v = 0 -> Z = 4^(3/4) = 2*sqrt(2)
+    # K = 4, k = default_k = 1/4, v = 0 -> Z = 4^(3/4) = 2*sqrt(2)
     par = ModelParams(gamma=1.0, p=4)
     st = negative_energy_data(small_mesh, par, "ramp", margin=4.0)
-    z = make_report(small_mesh, st, par, LyapunovConfig(k=0.25)).Z
+    z = make_report(small_mesh, st, par).Z
     assert z == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)
 
 
@@ -133,25 +132,18 @@ def test_Z_includes_pairing(small_mesh):
     par = ModelParams(gamma=1.0, p=4)
     st = negative_energy_data(small_mesh, par, "ramp", margin=1.0)
     st.v[:] = 0.01 * st.u  # small enough that the kinetic term keeps E < 0
-    z = make_report(small_mesh, st, par, LyapunovConfig(k=0.25, omega=2.0)).Z
-    k_val = make_report(small_mesh, st, par).K
+    rep = make_report(small_mesh, st, par)
     pairing = G.integrate_interior(small_mesh, st.v * st.u) + G.integrate_boundary(
         small_mesh, st.v[-1] * st.u[-1]
     )
-    assert k_val > 0.0
-    assert z == pytest.approx(k_val**0.75 + 2.0 * pairing, rel=1e-12)
+    assert rep.K > 0.0
+    assert rep.Z == pytest.approx(rep.K**0.75 + pairing, rel=1e-12)
 
 
 def test_Z_requires_negative_energy(small_mesh):
     par = ModelParams(gamma=1.0, p=4)
     st = ramp_state(small_mesh, scale=0.1)  # small data, E > 0
-    assert make_report(small_mesh, st, par, LyapunovConfig(k=0.25)).Z is None
-
-
-@pytest.mark.parametrize("k", [0.0, 0.5, 0.7, -0.1])
-def test_lyapunov_config_k_range(k):
-    with pytest.raises(ValueError, match="k must lie"):
-        LyapunovConfig(k=k)
+    assert make_report(small_mesh, st, par).Z is None
 
 
 # ---------------------------------------------------------------------------
@@ -161,32 +153,63 @@ def test_lyapunov_config_k_range(k):
 def test_default_k_all_terms():
     par = ModelParams(alpha=1.0, beta=1.0, gamma=1.0, delta=1.0,
                       m=2, mu=2, p=4, q=4)
-    cfg = default_k(par)
-    assert cfg.k == 0.25
-    assert cfg.omega == 1.0
+    assert default_k(par) == 0.25
 
 
 def test_default_k_interior_pair_only():
-    cfg = default_k(ModelParams(alpha=1.0, gamma=1.0, m=2, p=3))
-    assert cfg.k == pytest.approx(1.0 / 6.0, abs=1e-15)
+    k = default_k(ModelParams(alpha=1.0, gamma=1.0, m=2, p=3))
+    assert k == pytest.approx(1.0 / 6.0, abs=1e-15)
 
 
 def test_default_k_no_damping_has_no_ceiling():
-    cfg = default_k(ModelParams(gamma=1.0, p=4))
-    assert cfg.k == 0.25
+    assert default_k(ModelParams(gamma=1.0, p=4)) == 0.25
 
 
 def test_default_k_degenerate():
-    with pytest.raises(ValueError, match="no admissible Lyapunov exponent"):
-        default_k(ModelParams(gamma=1.0, delta=1.0, p=2, q=2))
-    with pytest.raises(ValueError, match="no source"):
-        default_k(ModelParams(alpha=1.0, m=2))
+    # k = 0 is not admissible, and without a source there is no candidate
+    assert default_k(ModelParams(gamma=1.0, delta=1.0, p=2, q=2)) is None
+    assert default_k(ModelParams(alpha=1.0, m=2)) is None
 
 
 def test_default_k_boundary_damping_uses_interior_p():
     # the boundary-damping candidate pairs 1/mu with 1/p
-    cfg = default_k(ModelParams(beta=1.0, gamma=1.0, mu=3, p=4))
-    assert cfg.k == pytest.approx(1.0 / 3.0 - 1.0 / 4.0, abs=1e-15)
+    k = default_k(ModelParams(beta=1.0, gamma=1.0, mu=3, p=4))
+    assert k == pytest.approx(1.0 / 3.0 - 1.0 / 4.0, abs=1e-15)
+
+
+def _random_record(rng):
+    """Weights on or off, m and mu in (1, 9], p and q in [2, 12]."""
+    on = rng.random(4) < 0.5
+    return ModelParams(alpha=float(on[0]), beta=float(on[1]), gamma=float(on[2]),
+                       delta=float(on[3]), m=9.0 - 8.0 * rng.random(),
+                       mu=9.0 - 8.0 * rng.random(), p=rng.uniform(2.0, 12.0),
+                       q=rng.uniform(2.0, 12.0))
+
+
+def test_default_k_is_none_or_admissible_over_random_records():
+    rng = np.random.default_rng(17)
+    ks = [default_k(_random_record(rng)) for _ in range(20_000)]
+    assert all(k is None or 0.0 < k < 0.5 for k in ks)
+    assert any(k is None for k in ks) and any(k is not None for k in ks)
+
+
+def test_Z_is_defined_exactly_when_K_is_positive_and_k_admissible():
+    mesh9 = build_annulus(1.0, 2.0, 9, 8)
+    rng = np.random.default_rng(18)
+    seen = set()
+    for _ in range(300):
+        par = _random_record(rng)
+        st = ramp_state(mesh9, scale=10.0 ** rng.uniform(-1.0, 1.0))
+        st.v = 0.1 * st.u
+        rep = make_report(mesh9, st, par)
+        k = default_k(par)
+        assert (rep.Z is not None) == (rep.K > 0.0 and k is not None)
+        if rep.Z is not None:
+            pairing = G.integrate_interior(mesh9, st.v * st.u) + G.integrate_boundary(
+                mesh9, st.v[-1] * st.u[-1])
+            assert rep.Z == rep.K ** (1.0 - k) + pairing
+        seen.add((rep.K > 0.0, k is not None))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +276,21 @@ def test_stacked_trace_terms_equal_each_cells_own(small_mesh):
     par = ModelParams(gamma=1.0, p=4, beta=1.0, mu=3)
     st = negative_energy_data(small_mesh, par, "ramp")
     st.v = 0.1 * st.u
-    lyap = default_k(par)
     one = State(u=st.u[None], v=st.v[None])
-    assert make_report(small_mesh, one, par, lyap).Z.tolist() == [
-        make_report(small_mesh, st, par, lyap).Z
-    ]
+    assert make_report(small_mesh, one, par).Z.tolist() == [make_report(small_mesh, st, par).Z]
+
+
+def test_stacked_report_fills_Z_only_when_every_cell_has_K_positive(small_mesh):
+    par = ModelParams(gamma=1.0, p=4)
+    hot = negative_energy_data(small_mesh, par, "ramp")
+    hot.v = 0.1 * hot.u
+    cold = ramp_state(small_mesh, scale=0.1)
+    both = State(u=np.stack([hot.u, 2.0 * hot.u]), v=np.stack([hot.v, hot.v]))
+    alone = [make_report(small_mesh, State(u, v), par).Z for u, v in zip(both.u, both.v)]
+    assert make_report(small_mesh, both, par).Z.tolist() == alone
+    mixed = State(u=np.stack([hot.u, cold.u]), v=np.stack([hot.v, cold.v]))
+    rep = make_report(small_mesh, mixed, par)
+    assert rep.K[0] > 0.0 >= rep.K[1] and rep.Z is None
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +299,7 @@ def test_stacked_trace_terms_equal_each_cells_own(small_mesh):
 
 def test_report_columns_match_dataclass(small_mesh):
     st = ramp_state(small_mesh)
-    rep = make_report(small_mesh, st, ModelParams(gamma=1.0, p=4), None)
+    rep = make_report(small_mesh, st, ModelParams(gamma=1.0, p=4))
     for col in REPORT_COLUMNS:
         assert hasattr(rep, col)
     assert rep.t == 0.0
@@ -276,8 +309,7 @@ def test_report_columns_match_dataclass(small_mesh):
 def test_report_consistency(small_mesh):
     par = ModelParams(gamma=1.0, p=4, alpha=1.0, m=2)
     st = negative_energy_data(small_mesh, par, "ramp", margin=1.0)
-    lyap = default_k(par)
-    rep = make_report(small_mesh, st, par, lyap)
+    rep = make_report(small_mesh, st, par)
     assert rep.E == pytest.approx(-1.0, abs=1e-9)
     assert rep.K == -rep.E
     assert rep.Z == pytest.approx(1.0, abs=1e-9)
@@ -294,16 +326,16 @@ def test_report_consistency(small_mesh):
 def test_report_Z_none_when_energy_positive(small_mesh):
     par = ModelParams(gamma=1.0, p=4)
     st = ramp_state(small_mesh, scale=0.1)
-    rep = make_report(small_mesh, st, par, LyapunovConfig(k=0.25))
+    rep = make_report(small_mesh, st, par)
     assert rep.Z is None
 
 
 def test_residual_stationary_zero(small_mesh):
     par = ModelParams(alpha=1.0, m=3)
     st = State(u=np.zeros((33, 32)), v=np.zeros((33, 32)), t=0.0)
-    r0 = make_report(small_mesh, st, par, None)
+    r0 = make_report(small_mesh, st, par)
     st1 = State(u=st.u, v=st.v, t=1.0)
-    r1 = make_report(small_mesh, st1, par, None, prev=r0)
+    r1 = make_report(small_mesh, st1, par, prev=r0)
     assert r1.identity_residual == 0.0
     assert energy_identity_residual(r0, r1) == 0.0
 
@@ -311,8 +343,8 @@ def test_residual_stationary_zero(small_mesh):
 def test_residual_rejects_time_reversal(small_mesh):
     st = ramp_state(small_mesh)
     par = ModelParams()
-    r0 = make_report(small_mesh, State(st.u, st.v, 1.0), par, None)
-    r1 = make_report(small_mesh, State(st.u, st.v, 0.5), par, None)
+    r0 = make_report(small_mesh, State(st.u, st.v, 1.0), par)
+    r1 = make_report(small_mesh, State(st.u, st.v, 0.5), par)
     with pytest.raises(ValueError, match="non-monotone"):
         energy_identity_residual(r0, r1)
 
@@ -328,8 +360,7 @@ def test_residual_rejects_time_reversal(small_mesh):
 def test_report_agrees_exactly_with_functionals_and_monitor(small_mesh, par):
     st = negative_energy_data(small_mesh, par, "ramp", margin=1.0)
     st.v[:] = 0.01 * st.u
-    lyap = default_k(par)
-    rep = make_report(small_mesh, st, par, lyap)
+    rep = make_report(small_mesh, st, par)
     # the blow-up monitor reads the same phase norm and source norms, so at
     # thresholds below, at and above each it gives the verdict the report's
     # columns give

@@ -27,10 +27,11 @@ def test_blowup_time_golden(prob, want):
 
 
 def test_blowup_time_tolerance_argument():
+    # T_m comes to the fixed absolute tolerance 1e-10; no argument sets it
     prob = OdeProblem(l=2.0, c=1.0, psi0=2.0)
-    want = 0.5 * math.log(3.0)
-    assert abs(blowup_time(prob, tol=1e-6) - want) <= 1e-6
-    assert abs(blowup_time(prob, tol=1e-12) - want) <= 1e-11
+    assert abs(blowup_time(prob) - 0.5 * math.log(3.0)) <= 1e-10
+    with pytest.raises(TypeError):
+        blowup_time(prob, tol=1e-6)
 
 
 def test_problem_validation():
@@ -52,21 +53,13 @@ def test_problem_validation():
             OdeProblem(l=2.0, c=0.0, psi0=psi0)
 
 
-def test_blowup_time_rejects_bad_tol():
-    prob = OdeProblem(l=2.0, c=0.0, psi0=1.0)
-    for tol in (0.0, -1e-10, math.inf, math.nan):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            blowup_time(prob, tol=tol)
-
-
 def test_integrate_validation():
     prob = OdeProblem(l=2.0, c=0.0, psi0=5.0)
     for threshold in (5.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="blow_threshold must exceed psi0"):
             integrate_comparison(prob, blow_threshold=threshold)
-    for eta in (0.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="eta must be positive and finite"):
-            integrate_comparison(prob, eta=eta)
+    with pytest.raises(TypeError):  # the step factor is fixed at 1e-3
+        integrate_comparison(prob, eta=1e-3)
 
 
 def series(l, c, psi0, terms=400):
@@ -132,13 +125,13 @@ def test_near_edge_answers_within_tol_or_raises(n, per_decade):
     # moves it more and more.  At l = 1 + 1/16 a rounding of the upper limit
     # psi0^(1-l) weighs 16 times more than one of psi0; a guard on psi0 alone
     # answers psi0 = 1 + 10^-5.05 with an error of 1.36e-10 (tol 1e-10)
-    tol = 1e-10
+    tol = 1e-10  # blowup_time's absolute tolerance
     answered, refused = [], []
     for e in range(2 * per_decade, 10 * per_decade + 1):
         prob = OdeProblem(l=1.0 + 1.0 / n, c=1.0, psi0=1.0 + 10.0 ** (-e / per_decade))
         delta = prob.psi0 - 1.0  # exact
         try:
-            t_m = blowup_time(prob, tol)
+            t_m = blowup_time(prob)
         except RuntimeError as exc:
             assert "ill-conditioned" in str(exc)
             refused.append(delta)
@@ -147,26 +140,6 @@ def test_near_edge_answers_within_tol_or_raises(n, per_decade):
         answered.append(delta)
     assert answered and refused
     assert max(refused) < min(answered)
-
-
-@pytest.mark.parametrize("tol", [2.5, 3, 4, 6, 8, 10, 15, 20])
-def test_loose_tol_at_the_edge_answers_within_tol_or_raises(tol):
-    # one ulp above the edge a loose quadrature budget let QUADPACK stop on a
-    # coarse partition that misses the spike at the upper limit: tol 10
-    # returned 4.549 for T_m = 18.368
-    psi0 = math.nextafter(1.0, 2.0)
-    try:
-        t_m = blowup_time(OdeProblem(l=2.0, c=1.0, psi0=psi0), tol)
-    except RuntimeError:
-        return
-    assert abs(t_m - near_edge_reference(1, psi0 - 1.0)) <= tol
-
-
-def test_loose_tol_keeps_the_default_quadrature():
-    # a loose tol relaxes only the conditioning guard, so a well-conditioned
-    # query gets the default answer bit for bit
-    for prob in (OdeProblem(l=1.05, c=1.0, psi0=2.0), OdeProblem(l=2.0, c=1.0, psi0=1.01)):
-        assert blowup_time(prob, tol=0.1) == blowup_time(prob)
 
 
 @pytest.mark.parametrize(
@@ -195,7 +168,7 @@ def test_blowup_time_raises_when_quadrature_fails(monkeypatch):
         blowup_time(OdeProblem(l=2.0, c=1.0, psi0=2.0))
 
 
-def reference_rk4(prob, blow_threshold=1e6, eta=1e-3):
+def reference_rk4(prob, blow_threshold=1e6):
     """integrate_comparison's loop with its right-hand side as a function:
     the reference the inlined loop must reproduce exactly."""
     l, c = prob.l, prob.c
@@ -206,7 +179,7 @@ def reference_rk4(prob, blow_threshold=1e6, eta=1e-3):
     t, y = 0.0, prob.psi0
     traj = [(t, y)]
     while y < blow_threshold:
-        dt = eta * y ** (1.0 - l)
+        dt = 1e-3 * y ** (1.0 - l)
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * dt * k1)
         k3 = rhs(y + 0.5 * dt * k2)
@@ -233,24 +206,23 @@ def _cap_address_space():
 
 
 def test_integrate_raises_when_a_step_stalls(tmp_path):
-    """A step that leaves y where it was (y^l - c near eps, or a tiny eta)
-    must raise, not loop forever; through the CLI that is exit 3 with
-    nothing on stdout.  The child's time and address space are capped so a
-    hang fails the test instead of growing the trajectory without bound."""
+    """A step that leaves y where it was (y^l - c near eps) must raise, not
+    loop forever; through the CLI that is exit 3 with nothing on stdout.
+    The child's time and address space are capped so a hang fails the test
+    instead of growing the trajectory without bound."""
     child = textwrap.dedent(f"""
         import math
         from kwlab import cli
         from kwlab.oracle import OdeProblem, integrate_comparison
-        for prob, eta in ((OdeProblem(l=2, c=1, psi0=math.nextafter(1.0, 2.0)), 1e-3),
-                          (OdeProblem(l=2, c=0, psi0=1), 1e-17)):
-            try:
-                integrate_comparison(prob, eta=eta)
-            except RuntimeError as exc:
-                assert "stalled" in str(exc), exc
-            else:
-                raise AssertionError(f"no RuntimeError for {{prob}}, eta={{eta}}")
+        prob = OdeProblem(l=2, c=1, psi0=math.nextafter(1.0, 2.0))
+        try:
+            integrate_comparison(prob)
+        except RuntimeError as exc:
+            assert "stalled" in str(exc), exc
+        else:
+            raise AssertionError(f"no RuntimeError for {{prob}}")
         assert cli.main(["oracle", "--l", "2", "--c", "1", "--psi0", "1.0000000000000002",
-                         "--tol", "4", "--trajectory", {str(tmp_path / "t.csv")!r}]) == 3
+                         "--trajectory", {str(tmp_path / "t.csv")!r}]) == 3
     """)
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                           timeout=5, preexec_fn=_cap_address_space)
@@ -290,10 +262,8 @@ def test_two_routes_agree(prob):
     """T_m(psi0) - t_hit(Y) must equal the tail T_m(Y) for any threshold Y."""
     threshold = 1e5
     t_hit = integrate_comparison(prob, blow_threshold=threshold)[-1][0]
-    tail = blowup_time(
-        OdeProblem(l=prob.l, c=prob.c, psi0=threshold), tol=1e-13
-    )
-    t_m = blowup_time(prob, tol=1e-13)
+    tail = blowup_time(OdeProblem(l=prob.l, c=prob.c, psi0=threshold))
+    t_m = blowup_time(prob)
     assert abs((t_m - t_hit) - tail) <= 1e-8 * max(1.0, t_m)
 
 

@@ -846,11 +846,13 @@ def test_stacked_initial_crossings_name_the_first_cell():
 
 @pytest.mark.parametrize("calm, t", [
     (True, math.nan), (True, math.inf), (True, 1.0), (True, 2.0), (False, -math.inf),
+    (True, -1e20),
 ])
 def test_simulate_rejects_an_initial_t_outside_the_run(calm, t):
     """A supplied initial t must be finite and below t_end, or the run would
     end after 0 steps (nan, t_end and beyond) or bracket a blow-up at
-    (-inf, -inf)."""
+    (-inf, -inf); and t + dt_min must exceed t, or every step would be
+    accepted at the same t and the run would never end (-1e20)."""
     cfg = SimConfig(params=SOURCE_PARAMS, n_r=9, n_theta=8, t_end=1.0,
                     initial_mode="scaled" if calm else "auto_negative_energy",
                     initial_scale=0.1 if calm else None)
