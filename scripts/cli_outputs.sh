@@ -10,10 +10,13 @@
 # output paths in stdout.txt compare too.  The set: `simulate` of the c06
 # record (report_every 1, dt_min 1e-5), a Newton-kick record, a
 # boundary-only Newton record, a linear record with unequal weights, the
-# 129x128 calm run, and one run each with an explicit dt and with cfl 0.3
-# (the two ways to set the step size); six ClassifyAndSimulate scans, two of
-# them on an alpha or beta axis over linear-damping cells; two `classify`
-# lines; six `oracle` queries: two plain ones, l near 1 (1.05), a huge psi0
+# 129x128 calm run, one run each with an explicit dt and with cfl 0.3
+# (the two ways to set the step size), and one on radii 1..3 with
+# integer-typed mesh values (n_theta 16.0); seven ClassifyAndSimulate scans,
+# two of them on an alpha or beta axis over linear-damping cells and one
+# from a --params-file whose m a --m flag overrides, so m_tilde re-derives on
+# its m axis; three `classify` lines, one from a --params-file with a flag
+# over one of its keys; six `oracle` queries: two plain ones, l near 1 (1.05), a huge psi0
 # (1e300), two trajectories (one with --threshold 1e3), and the refused
 # near-edge query psi0 = 1.0000001, whose exit code 3 is recorded in
 # stdout.txt.  For the classifier, four ClassifyOnly grids
@@ -77,7 +80,13 @@ cat >cfl.json <<'JSON'
  "initial_data": {"profile": "bump", "margin": 1.0},
  "cfl": 0.3, "t_end": 20.0, "dt_min": 1e-5, "report_every": 5}
 JSON
-for run in c06 newton boundary_newton linear fine dt cfl; do
+cat >radii.json <<'JSON'
+{"params": {"alpha": 1.0, "gamma": 1.0, "p": 3.0},
+ "mesh": {"r_inner": 1, "r_outer": 3, "n_r": 17, "n_theta": 16.0},
+ "initial_data": {"profile": "ramp", "margin": 1.0},
+ "t_end": 20.0, "dt_min": 1e-5, "report_every": 5}
+JSON
+for run in c06 newton boundary_newton linear fine dt cfl radii; do
     kwlab simulate "$run.json" "$run"
 done
 
@@ -88,9 +97,19 @@ scan scan_pmu.csv --alpha 1 --beta 1 --gamma 1 --axis1 p:3:5:3 --axis2 mu:2:3:3
 scan scan_pmt.csv --alpha 1 --a 1 --gamma 1 --m 3 --axis1 p:3.5:5:3 --axis2 m_tilde:1.2:2:3
 scan scan_alpha.csv --alpha 1 --a 0.4 --gamma 1 --axis1 p:3:6:4 --axis2 alpha:0.5:2:3
 scan scan_beta.csv --alpha 1 --beta 1 --b 0.4 --gamma 1 --axis1 p:3:6:4 --axis2 beta:0.5:2:3
+cat >scan_params.json <<'JSON'
+{"alpha": 1.0, "a": 1.0, "gamma": 1.0, "m": 4.0}
+JSON
+# --m 3 overrides the file's m, so m_tilde is the default 2 and re-derives
+# on the m axis, down to m = 1.5
+scan scan_file.csv --params-file scan_params.json --m 3 --axis1 p:3:5:3 --axis2 m:1.5:3:4
 
 kwlab classify --gamma 1 --p 4 --alpha 1 --m 2
 kwlab classify --gamma 1 --p 3 --alpha 1 --m 4
+cat >classify_params.json <<'JSON'
+{"N": 3, "gamma": 1.0, "alpha": 1.0, "m": 4, "p": 4.0}
+JSON
+kwlab classify --params-file classify_params.json --p 5.6
 # N, then 1 + r/(7/6) with r = 2n/(n-2) at n = N (interior) and n = N-1
 # (boundary, 2 where r is infinite), each the repr of the float
 for line in "3 6.142857142857142 2" "4 4.428571428571429 6.142857142857142" \

@@ -27,6 +27,7 @@ from .functionals import REPORT_COLUMNS, EnergyReport
 from .model import ModelParams
 
 __all__ = [
+    "SCAN_MODES",
     "ScanSpec",
     "run_classify",
     "run_scan",
@@ -48,35 +49,19 @@ def fmt_csv_float(x: float) -> str:
 
 
 def _json_render(value, indent: int) -> str:
-    pad = " " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
+    """json.dumps, except that a float keeps 17 significant digits (NaN and
+    inf are null) and a non-empty list, tuple or dict puts one item a line."""
     if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            return "null"
-        return fmt_json_float(value)
-    if isinstance(value, str):
+        return fmt_json_float(value) if math.isfinite(value) else "null"
+    if not isinstance(value, (list, tuple, dict)) or not value:
         return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ",\n".join(
-            pad + "  " + _json_render(v, indent + 2) for v in value
-        )
-        return "[\n" + inner + "\n" + pad + "]"
+    pad, item_pad = " " * indent, " " * (indent + 2)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            pad + "  " + json.dumps(str(k)) + ": " + _json_render(v, indent + 2)
-            for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        items = [f"{item_pad}{json.dumps(str(k))}: {_json_render(v, indent + 2)}"
+                 for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    items = [item_pad + _json_render(v, indent + 2) for v in value]
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
 
 
 def to_json(value) -> str:
@@ -111,6 +96,9 @@ def run_classify(params: ModelParams) -> regimes.RegimeVerdict:
     return verdict
 
 
+SCAN_MODES = ("ClassifyOnly", "ClassifyAndSimulate")
+
+
 @dataclass(frozen=True)
 class ScanSpec:
     """Two-axis parameter sweep around a base parameter record."""
@@ -132,7 +120,7 @@ class ScanSpec:
                 raise ValueError(f"axis range is empty: [{lo}, {hi}]")
         if self.axis1[0] == self.axis2[0]:
             raise ValueError(f"axes must name distinct fields, both are {self.axis1[0]!r}")
-        if self.mode not in ("ClassifyOnly", "ClassifyAndSimulate"):
+        if self.mode not in SCAN_MODES:
             raise ValueError(f"unknown scan mode {self.mode!r}")
         if self.mode == "ClassifyAndSimulate" and self.base.N != 2:
             raise ValueError("ClassifyAndSimulate requires N=2 (the simulator is two-dimensional)")
@@ -148,12 +136,12 @@ def _scan_cell(
 ) -> tuple[regimes.RegimeVerdict, solver.SimConfig | None]:
     """Classify one cell; also return its simulation config when the scan
     simulates it.  A cell on an m (or mu) axis re-derives m_tilde (mu_tilde)
-    when the base holds the default min(2, m); a base's own value is kept."""
+    when the base holds the default; a base's own value is kept."""
     changes = {spec.axis1[0]: v1, spec.axis2[0]: v2}
     for name in ("m", "mu"):
         tilde = f"{name}_tilde"
         if name in changes and tilde not in changes and (
-            getattr(spec.base, tilde) == min(2.0, getattr(spec.base, name))
+            getattr(spec.base, tilde) == ModelParams.default_tilde(getattr(spec.base, name))
         ):
             changes[tilde] = None
     params = dataclasses.replace(spec.base, **changes)
@@ -251,29 +239,22 @@ def run_oracle(
 
 def _add_param_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--params-file", help="JSON file with model parameters")
-    parser.add_argument("--N", type=int, default=None)
-    for name in ("a", "b", "alpha", "beta", "gamma", "delta",
-                 "m", "mu", "m-tilde", "mu-tilde", "p", "q"):
-        parser.add_argument(f"--{name}", type=float, default=None,
-                            dest=name.replace("-", "_"))
+    for name in ModelParams.field_names():
+        parser.add_argument("--" + name.replace("_", "-"), type=int if name == "N" else float,
+                            default=None, dest=name)
 
 
 def _params_from_args(args) -> ModelParams:
-    merged: dict = {}
+    """The --params-file object, with the flags given merged over its keys."""
+    doc: dict = {}
     if args.params_file:
         with open(args.params_file) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("params file must contain a JSON object")
-        bad = set(doc) - set(ModelParams.field_names())
-        if bad:
-            raise ValueError(f"unknown model parameters: {sorted(bad)}")
-        merged.update(doc)
-    for name in ModelParams.field_names():
-        val = getattr(args, name, None)
-        if val is not None:
-            merged[name] = val
-    return ModelParams(**merged)
+    flags = {name: getattr(args, name) for name in ModelParams.field_names()
+             if getattr(args, name) is not None}
+    return ModelParams.from_dict({**doc, **flags})
 
 
 def _parse_axis(text: str) -> tuple[str, float, float, int]:
@@ -305,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--axis2", required=True, help="name:lo:hi:steps")
     p_scan.add_argument(
         "--mode",
-        choices=("ClassifyOnly", "ClassifyAndSimulate"),
+        choices=SCAN_MODES,
         default="ClassifyOnly",
     )
     p_scan.add_argument("--out", required=True, help="output CSV path")

@@ -119,15 +119,16 @@ def _max_norm_bounds(mesh: AnnulusMesh, state: State, plan: _Plan):
     the plan's lp and lq, the powers _source_norms takes.  Each grid
     difference is at most 2 M_u (a discrete inverse inequality; Ciarlet, The
     Finite Element Method for Elliptic Problems, 1978, section 3.2).  A NaN
-    or inf M, or an M^2 that overflows, gives a NaN or inf bound, which
-    bounds nothing.
+    or inf M, or a product that overflows, gives a NaN or inf bound, which
+    bounds nothing.  A constant multiplies M first: M^2 alone can round to 0
+    where the exact norm, whose differences are divided by dr, stays subnormal.
     """
     axes = (-2, -1)
     u, v = state.u, state.v
     m_u = np.maximum(u.max(axis=axes, keepdims=True), -u.min(axis=axes, keepdims=True))
     m_v = np.maximum(v.max(axis=axes, keepdims=True), -v.min(axis=axes, keepdims=True))
     with np.errstate(over="ignore"):
-        phase = mesh._phase_bound_v * (m_v * m_v) + mesh._phase_bound_u * (m_u * m_u)
+        phase = (mesh._phase_bound_v * m_v) * m_v + (mesh._phase_bound_u * m_u) * m_u
         source = mesh._source_bound_p * plan.lp(m_u) + mesh._source_bound_q * plan.lq(m_u)
     return phase[..., 0, 0], source[..., 0, 0]
 

@@ -41,7 +41,7 @@ import numpy as np
 __all__ = [
     "AnnulusMesh",
     "build_annulus",
-    "check_mesh_args",
+    "mesh_spacing",
     "integrate_interior",
     "integrate_boundary",
     "laplacian",
@@ -71,13 +71,11 @@ class AnnulusMesh:
     """
 
     def __init__(self, r_inner: float, r_outer: float, n_r: int, n_theta: int):
-        check_mesh_args(r_inner, r_outer, n_r, n_theta)
+        self.dr, self.dtheta = mesh_spacing(r_inner, r_outer, n_r, n_theta)
         self.r_inner = float(r_inner)
         self.r_outer = float(r_outer)
         self.n_r = int(n_r)
         self.n_theta = int(n_theta)
-        self.dr = (self.r_outer - self.r_inner) / (self.n_r - 1)
-        self.dtheta = 2.0 * np.pi / self.n_theta
         self.r = self.r_inner + self.dr * np.arange(self.n_r)
         self.theta = self.dtheta * np.arange(self.n_theta)
         # radii at the staggered faces r_{i+1/2}, i = 0 .. n_r-2
@@ -125,8 +123,9 @@ class AnnulusMesh:
         )
 
 
-def check_mesh_args(r_inner: float, r_outer: float, n_r: int, n_theta: int) -> None:
-    """Raise ValueError unless the arguments describe a valid AnnulusMesh."""
+def mesh_spacing(r_inner: float, r_outer: float, n_r: int, n_theta: int) -> tuple[float, float]:
+    """(dr, dtheta) of the AnnulusMesh with these arguments; raises
+    ValueError unless they describe a valid one."""
     if not r_inner > 0:
         raise ValueError(f"r_inner must be positive, got {r_inner}")
     if not r_inner < r_outer < np.inf:
@@ -138,6 +137,7 @@ def check_mesh_args(r_inner: float, r_outer: float, n_r: int, n_theta: int) -> N
             raise ValueError(f"{name} must be an integer, got {value}")
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
+    return (float(r_outer) - float(r_inner)) / (int(n_r) - 1), 2.0 * np.pi / int(n_theta)
 
 
 def build_annulus(r_inner: float, r_outer: float, n_r: int, n_theta: int) -> AnnulusMesh:

@@ -68,9 +68,9 @@ class ModelParams:
                 raise ValueError(f"constraint violated: 0 <= {name} < inf "
                                  f"(got {getattr(self, name)})")
         if self.m_tilde is None:
-            object.__setattr__(self, "m_tilde", min(2.0, float(self.m)))
+            object.__setattr__(self, "m_tilde", self.default_tilde(self.m))
         if self.mu_tilde is None:
-            object.__setattr__(self, "mu_tilde", min(2.0, float(self.mu)))
+            object.__setattr__(self, "mu_tilde", self.default_tilde(self.mu))
         for name in ("m", "mu", "m_tilde", "mu_tilde", "p", "q"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if not 1.0 < self.m_tilde <= self.m < math.inf:
@@ -89,6 +89,19 @@ class ModelParams:
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
         return tuple(f.name for f in fields(cls))
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> ModelParams:
+        """Build from a JSON-style object whose keys are field names."""
+        bad = set(doc) - set(cls.field_names())
+        if bad:
+            raise ValueError(f"unknown model parameters: {sorted(bad)}")
+        return cls(**doc)
+
+    @staticmethod
+    def default_tilde(exponent: float) -> float:
+        """The default m_tilde of m, and mu_tilde of mu."""
+        return min(2.0, float(exponent))
 
     @cached_property
     def _plan(self) -> _Plan:

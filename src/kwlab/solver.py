@@ -388,10 +388,7 @@ class SimConfig:
     def __post_init__(self, cfl):
         if self.params.N != 2:
             raise ValueError(f"the simulator is two-dimensional; N=2 required, got N={self.params.N}")
-        # the mesh's own checks, before dr and dtheta divide by its sizes
-        geometry.check_mesh_args(self.r_inner, self.r_outer, self.n_r, self.n_theta)
-        dr = (self.r_outer - self.r_inner) / (self.n_r - 1)
-        dtheta = 2.0 * math.pi / self.n_theta
+        dr, dtheta = geometry.mesh_spacing(self.r_inner, self.r_outer, self.n_r, self.n_theta)
         wave_limit = min(dr, self.r_inner * dtheta)
         if self.dt is None:
             cfl = 0.4 if cfl is None else cfl
@@ -452,10 +449,7 @@ class SimConfig:
         params_doc = doc.pop("params", None)
         if not isinstance(params_doc, dict):
             raise ValueError("config requires a 'params' object")
-        bad = set(params_doc) - set(ModelParams.field_names())
-        if bad:
-            raise ValueError(f"unknown model parameters: {sorted(bad)}")
-        kwargs = {"params": ModelParams(**params_doc)}
+        kwargs = {"params": ModelParams.from_dict(params_doc)}
         # section (None: the top level) -> its keys, the keyword prefix
         for section, (prefix, keys) in {
             "mesh": ("", {"r_inner", "r_outer", "n_r", "n_theta"}),

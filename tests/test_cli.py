@@ -41,7 +41,7 @@ def test_json_round_trip_is_lossless():
 
 
 def test_json_rejects_unknown_types():
-    with pytest.raises(TypeError, match="cannot serialize"):
+    with pytest.raises(TypeError, match="not JSON serializable"):
         cli.to_json({"x": object()})
 
 

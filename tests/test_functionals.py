@@ -441,3 +441,19 @@ def test_max_norm_bounds_hold_and_keep_the_monitors_verdict(data):
             if n_cells is not None:
                 got = [None] * n_cells if got is None else got.tolist()
             assert got == want
+
+
+def test_max_norm_bound_holds_where_M_squared_underflows():
+    """M_u^2 rounds to 0 here while the exact phase norm is the least
+    subnormal, 5e-324: the bound must still hold and the monitor, at a
+    threshold whose square is that norm, must still say PhaseNorm."""
+    mesh, plan = BOUND_MESHES[0], ModelParams(gamma=1.0, p=2.0, delta=1.0, q=2.0)._plan
+    u = np.zeros((mesh.n_r, mesh.n_theta))
+    u[0, 0] = 9.67688893e-163
+    state = State(u, np.zeros_like(u))
+    phase_bound, _ = functionals._max_norm_bounds(mesh, state, plan)
+    phase = functionals._phase_parts(mesh, state)[3]
+    assert phase == 5e-324 and phase_bound >= phase
+    threshold = math.sqrt(5e-324)
+    assert exact_monitor(mesh, state, plan, threshold) == "PhaseNorm"
+    assert _crossing(mesh, state, plan, threshold) == "PhaseNorm"

@@ -51,6 +51,8 @@ def test_mesh_spacing(mesh):
 def test_bad_mesh_arguments(args, fragment):
     with pytest.raises(ValueError, match=fragment):
         build_annulus(*args)
+    with pytest.raises(ValueError, match=fragment):
+        G.mesh_spacing(*args)
 
 
 def test_weight_totals(mesh):

@@ -54,6 +54,22 @@ def test_field_names_cover_constructor():
     ModelParams(**{n: v for n, v in zip(names, [ModelParams().__getattribute__(n) for n in names])})
 
 
+def test_from_dict_builds_the_record_and_rejects_unknown_keys():
+    doc = {"N": 3, "gamma": 1.0, "p": 4, "alpha": 1.0, "m": 3}
+    assert ModelParams.from_dict(doc) == ModelParams(**doc)
+    assert ModelParams.from_dict({}) == ModelParams()
+    with pytest.raises(ValueError, match=r"unknown model parameters: \['rho', 'zeta'\]"):
+        ModelParams.from_dict({"gamma": 1.0, "zeta": 1.0, "rho": 2.0})
+    with pytest.raises(ValueError, match="2 <= p"):
+        ModelParams.from_dict({"p": 1.5})
+
+
+def test_default_tilde_is_the_constructors_default():
+    for m in (1.5, 2, 3.5):
+        assert ModelParams(m=m, mu=m).m_tilde == ModelParams.default_tilde(m) == min(2.0, m)
+        assert ModelParams(m=m, mu=m).mu_tilde == ModelParams.default_tilde(m)
+
+
 # ---------------------------------------------------------------------------
 # damping terms
 

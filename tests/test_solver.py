@@ -386,6 +386,24 @@ def test_config_default_dt_follows_mesh():
     assert cfg.dt == pytest.approx(0.4 * min(dr, 2.0 * math.pi / 32.0), rel=1e-15)
 
 
+@pytest.mark.parametrize("cfl", [0.4, 0.3, 0.5])
+@pytest.mark.parametrize(
+    "mesh_args",
+    [dict(r_inner=1, r_outer=3, n_r=17, n_theta=16),
+     dict(r_inner=1.0, r_outer=3.0, n_r=17.0, n_theta=16.0),
+     dict(r_inner=0.5, r_outer=2, n_r=9, n_theta=64.0)],
+)
+def test_config_dt_uses_the_spacing_of_the_mesh_it_runs_on(mesh_args, cfl):
+    cfg = SimConfig(params=SOURCE_PARAMS, cfl=cfl, **mesh_args)
+    # the mesh simulate_batch builds for this config
+    mesh = build_annulus(cfg.r_inner, cfg.r_outer, cfg.n_r, cfg.n_theta)
+    wave_limit = min(mesh.dr, mesh.r_inner * mesh.dtheta)
+    assert cfg.dt == cfl * wave_limit
+    assert SimConfig(params=SOURCE_PARAMS, dt=0.5 * wave_limit, **mesh_args).dt == 0.5 * wave_limit
+    with pytest.raises(ValueError, match="violates the CFL bound"):
+        SimConfig(params=SOURCE_PARAMS, dt=math.nextafter(0.5 * wave_limit, 1.0), **mesh_args)
+
+
 @pytest.mark.parametrize(
     "kwargs,pattern",
     [
