@@ -16,6 +16,9 @@ cell axis, (n_cells, n_r, n_theta) or (n_cells, n_theta), and treats each
 cell on its own: a quadrature then returns one value per cell, and each
 value is bitwise the one the cell's own 2-D field gives.  The operators take
 float arrays of these shapes unchecked; states are checked where they enter.
+laplacian's coefficients are stored repeated along theta, at the shape of
+the rows they scale: numpy combines equal shapes in its contiguous loop, much
+faster than it broadcasts a (rows, 1) column along theta.
 
 The interior Laplacian is assembled in conservative flux form,
 
@@ -96,10 +99,11 @@ class AnnulusMesh:
         c[-1] *= 0.5
         self._angular_form_weights = c
 
-        # stencil denominators of laplacian and laplace_beltrami
+        # stencil coefficients of laplacian (full shape) and laplace_beltrami
         r = self.r[1:-1, None]
-        self._radial_den = r * self.dr
-        self._angular_den = (r * self.dtheta) ** 2
+        self._face_r = np.repeat(self.r_half[:, None], self.n_theta, axis=1)
+        self._radial_den = np.repeat(r * self.dr, self.n_theta, axis=1)
+        self._angular_den = np.repeat((r * self.dtheta) ** 2, self.n_theta, axis=1)
         self._circle_den = (self.r_outer * self.dtheta) ** 2
 
         # constants of the blow-up monitor's bounds by M_u = max|u| and
@@ -170,12 +174,19 @@ def laplacian(mesh: AnnulusMesh, u: np.ndarray) -> np.ndarray:
     out = np.empty_like(u)
     out[..., 0, :] = out[..., -1, :] = 0.0
     # r_{i+1/2} du/dr
-    flux = mesh.r_half[:, None] * (u[..., 1:, :] - u[..., :-1, :]) / mesh.dr
+    flux = np.subtract(u[..., 1:, :], u[..., :-1, :])
+    flux *= mesh._face_r
+    flux /= mesh.dr
     inner = out[..., 1:-1, :]
-    inner[...] = (flux[..., 1:, :] - flux[..., :-1, :]) / mesh._radial_den
+    np.subtract(flux[..., 1:, :], flux[..., :-1, :], out=inner)
+    inner /= mesh._radial_den
     ui = u[..., 1:-1, :]
     wrapped = np.concatenate((ui[..., -1:], ui, ui[..., :1]), axis=-1)  # periodic in theta
-    inner += (wrapped[..., 2:] - 2.0 * ui + wrapped[..., :-2]) / mesh._angular_den
+    angular = 2.0 * ui
+    np.subtract(wrapped[..., 2:], angular, out=angular)
+    angular += wrapped[..., :-2]
+    angular /= mesh._angular_den
+    inner += angular
     return out
 
 

@@ -181,9 +181,13 @@ class _Term:
         return self._sum([c * power(abs_v) for c, power in self._slopes])
 
     def _sum(self, h):
-        """weight*(h[0] + weight2*h[1]), the second summand only if present."""
-        out = h[0] if len(h) == 1 else h[0] + self.weight2 * h[1]
-        return self.weight * out
+        """weight*(h[0] + weight2*h[1]), the second summand only if present,
+        formed in the caller's fresh arrays h."""
+        if len(h) > 1:
+            h[1] *= self.weight2
+            h[0] += h[1]
+        h[0] *= self.weight
+        return h[0]
 
 
 class _Plan:

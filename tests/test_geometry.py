@@ -201,7 +201,9 @@ def roll_gradient_energy(m, u):
     return radial + angular, circle
 
 
-@pytest.mark.parametrize("n_r, n_theta", [(17, 16), (33, 32), (9, 9)])
+# 129x128: each full-grid temporary (132 KB) lies above glibc's 128 KB mmap
+# threshold, and the stack below is then 3x129x128
+@pytest.mark.parametrize("n_r, n_theta", [(17, 16), (33, 32), (9, 9), (129, 128)])
 def test_operators_bitwise_equal_roll_formulas(n_r, n_theta):
     m = build_annulus(0.5, 1.0, n_r, n_theta)
     rng = np.random.default_rng(n_r * 100 + n_theta)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kwlab.model import ModelParams
+from kwlab.model import ModelParams, _Plan
 
 
 def test_defaults_are_valid():
@@ -149,6 +149,30 @@ def test_exponent_two_equals_general_power_bitwise():
     assert not np.signbit(par._plan.P(v)[0])
     scalar = par._plan.P(-0.0)
     assert type(scalar) is float and scalar == 0.0 and math.copysign(1.0, scalar) == 1.0
+
+
+@pytest.mark.parametrize("shape", [(3, 129, 128), (3, 1, 128)])
+def test_term_on_a_stack_equals_the_formula_bitwise(shape):
+    """P of a stack whose cells differ in their weights and exponents (none
+    of them a NumPy shortcut) is weight*(h0 + weight2*h1), and P' the same
+    form of the slopes, each computed directly."""
+    records = [ModelParams(alpha=al, a=a, m=m, m_tilde=mt)
+               for al, a, m, mt in ((1.0, 0.5, 3.5, 1.6), (2.5, 1.5, 4.25, 1.8),
+                                    (0.75, 0.25, 2.75, 1.3))]
+    plan = _Plan(records)
+    alpha, a, m, mt = (np.array([getattr(r, k) for r in records])[:, None, None]
+                       for k in ("alpha", "a", "m", "m_tilde"))
+    v = np.random.default_rng(7).standard_normal(shape) * 3.0
+    abs_v = np.abs(v)
+
+    def h(e):
+        return np.sign(v) * abs_v ** (e - 1.0)
+
+    def slope(e):
+        return (e - 1.0) * abs_v ** (e - 2.0)
+
+    assert np.array_equal(plan.P(v), alpha * (h(m) + a * h(mt)))
+    assert np.array_equal(plan.P.prime(v), alpha * (slope(m) + a * slope(mt)))
 
 
 def test_odd_symmetry():

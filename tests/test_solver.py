@@ -106,6 +106,42 @@ def test_report_and_dissipation_reject_u_and_v_that_disagree(mesh):
             dissipation_rate(mesh, State(stack, field), par)
 
 
+KICK_STACKS = {
+    # three records per kick branch that differ in their weights or exponents
+    "undamped": [ModelParams(gamma=g, p=p) for g, p in ((1.0, 4), (2.0, 3.5), (0.5, 5))],
+    "closed_form": [ModelParams(alpha=al, a=a, beta=be, gamma=1.0, p=4)
+                    for al, a, be in ((1.0, 0.0, 0.5), (2.0, 0.5, 1.5), (0.5, 1.0, 1.0))],
+    "newton": [ModelParams(alpha=1.0, m=m, a=a, m_tilde=1.5, gamma=1.0, p=3)
+               for m, a in ((3.0, 0.5), (4.0, 1.0), (3.5, 0.25))],
+}
+
+
+@pytest.mark.parametrize("kick", sorted(KICK_STACKS))
+@pytest.mark.parametrize("stacked", [False, True])
+def test_step_modifies_no_input(mesh, kick, stacked):
+    """step writes only into arrays it allocated: u, v and s_u come back
+    unchanged, and no returned array shares memory with them."""
+    records = KICK_STACKS[kick]
+    rng = np.random.default_rng(len(kick))
+    shape = (3, 33, 32) if stacked else (33, 32)
+    u, v = rng.standard_normal(shape), rng.standard_normal(shape)
+    u[..., 0, :] = v[..., 0, :] = 0.0
+    if stacked:
+        params, dt, t = model._Plan(records), np.array([0.01, 0.005, 0.02]), np.zeros(3)
+    else:
+        params, dt, t = records[0], 0.01, 0.0
+    plan = params if stacked else params._plan
+    s_u = solver._accel(mesh, u, plan)
+    state = State(u, v, t)
+    saved = [x.copy() for x in (u, v, s_u)]
+    for given in (None, s_u):
+        new, s_new = step(mesh, state, params, dt, given)
+        for before, now in zip(saved, (u, v, s_u)):
+            assert np.array_equal(before, now)
+        for out in (new.u, new.v, s_new):
+            assert not any(np.shares_memory(out, x) for x in (u, v, s_u))
+
+
 def test_step_preserves_pinned_row(mesh):
     rng = np.random.default_rng(0)
     u = rng.standard_normal((33, 32))
