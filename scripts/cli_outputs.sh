@@ -16,10 +16,11 @@
 # two of them on an alpha or beta axis over linear-damping cells and one
 # from a --params-file whose m a --m flag overrides, so m_tilde re-derives on
 # its m axis; three `classify` lines, one from a --params-file with a flag
-# over one of its keys; six `oracle` queries: two plain ones, l near 1 (1.05), a huge psi0
-# (1e300), two trajectories (one with --threshold 1e3), and the refused
-# near-edge query psi0 = 1.0000001, whose exit code 3 is recorded in
-# stdout.txt.  For the classifier, four ClassifyOnly grids
+# over one of its keys; seven `oracle` queries: two plain ones, l near 1 (1.05), a huge psi0
+# (1e300), three trajectories (one with --threshold 1e3, one with c > 0 and
+# psi0 near the edge c^(1/l) but inside blowup_time's conditioning guard),
+# and the refused near-edge query psi0 = 1.0000001, whose exit code 3 is
+# recorded in stdout.txt.  For the classifier, four ClassifyOnly grids
 # at each N = 3..7: the interior side (p x m), the boundary side (q x mu),
 # both sources (p x q), and one corner grid whose first cell sits exactly on
 # the (1.12)/(1.11) borderline 1 + r/m' of each side with m = mu = 7 and
@@ -130,4 +131,5 @@ kwlab oracle --l 3 --c 0.5 --psi0 2 --trajectory oracle_traj.csv
 kwlab oracle --l 1.05 --c 1 --psi0 2
 kwlab oracle --l 1.5 --c 1 --psi0 1e300
 kwlab oracle --l 2 --c 1 --psi0 2 --threshold 1e3 --trajectory oracle_threshold.csv
+kwlab oracle --l 1.5 --c 4 --psi0 2.6 --trajectory oracle_edge.csv
 kwlab oracle --l 2 --c 1 --psi0 1.0000001 || echo "exit $?" >>stdout.txt

@@ -72,7 +72,9 @@ class ModelParams:
         if self.mu_tilde is None:
             object.__setattr__(self, "mu_tilde", self.default_tilde(self.mu))
         for name in ("m", "mu", "m_tilde", "mu_tilde", "p", "q"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not float:  # not isinstance: np.float64 is a float subclass
+                object.__setattr__(self, name, float(value))
         if not 1.0 < self.m_tilde <= self.m < math.inf:
             raise ValueError(
                 f"constraint violated: 1 < m_tilde <= m < inf "

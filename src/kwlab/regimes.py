@@ -158,13 +158,5 @@ def classify(params) -> RegimeVerdict:
     if note:
         fired += "; (1.12) data condition applies"
 
-    return RegimeVerdict(
-        conclusion=conclusion,
-        fired=fired,
-        wellposed=wellposed,
-        uniqueness_extra=uniqueness,
-        global_existence=glob,
-        blowup_interior=b_int,
-        blowup_two_sources=b_two,
-        blowup_linear_damping=b_lin,
-    )
+    # positional, in field order: a frozen dataclass's keyword call is dearer
+    return RegimeVerdict(conclusion, fired, wellposed, uniqueness, glob, b_int, b_two, b_lin)

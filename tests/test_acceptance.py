@@ -284,14 +284,16 @@ def test_c08_two_source_benchmark():
 def _random_params(rng):
     m = float(rng.uniform(2.0, 6.0))
     mu = float(rng.uniform(2.0, 6.0))
+    # each weight is 0 or U(0, 2) with equal odds; indexing the pair draws
+    # what rng.choice([0.0, u]) draws, without building an array per weight
     return ModelParams(
         N=int(rng.integers(2, 8)),
-        a=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])),
-        b=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])),
-        alpha=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])),
-        beta=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])),
-        gamma=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])),
-        delta=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])),
+        a=(0.0, rng.uniform(0.0, 2.0))[rng.integers(0, 2)],
+        b=(0.0, rng.uniform(0.0, 2.0))[rng.integers(0, 2)],
+        alpha=(0.0, rng.uniform(0.0, 2.0))[rng.integers(0, 2)],
+        beta=(0.0, rng.uniform(0.0, 2.0))[rng.integers(0, 2)],
+        gamma=(0.0, rng.uniform(0.0, 2.0))[rng.integers(0, 2)],
+        delta=(0.0, rng.uniform(0.0, 2.0))[rng.integers(0, 2)],
         m=m,
         mu=mu,
         m_tilde=float(rng.uniform(1.1, min(2.0, m))),

@@ -70,6 +70,26 @@ def test_default_tilde_is_the_constructors_default():
         assert ModelParams(m=m, mu=m).mu_tilde == ModelParams.default_tilde(m)
 
 
+EXPONENTS = ("m", "mu", "m_tilde", "mu_tilde", "p", "q")
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), 3.0, np.float64(3.0), np.float64(2.5)])
+def test_exponents_normalize_to_exact_python_floats(value):
+    # exactly float: np.float64 is a float subclass, but its repr differs
+    par = ModelParams(**dict.fromkeys(EXPONENTS, value))
+    for name in EXPONENTS:
+        assert type(getattr(par, name)) is float and getattr(par, name) == value
+    assert type(ModelParams(m=value).m_tilde) is float
+
+
+def test_N_normalizes_to_int_and_equal_records_hash_alike():
+    assert type(ModelParams(N=3.0).N) is int and ModelParams(N=3.0).N == 3
+    assert type(ModelParams(N=np.int64(3)).N) is int
+    a, b = ModelParams(p=3), ModelParams(p=3.0)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert repr(ModelParams(p=np.float64(3.0))) == repr(b)
+
+
 # ---------------------------------------------------------------------------
 # damping terms
 

@@ -185,6 +185,9 @@ def reference_rk4(prob, blow_threshold=1e6):
         k3 = rhs(y + 0.5 * dt * k2)
         k4 = rhs(y + dt * k3)
         y_new = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not y_new > y:
+            raise RuntimeError(f"integration of y' = |y|^l - c stalled at t={t}, y={y}: "
+                               f"the step dt={dt:.3g} does not raise y")
         if y_new >= blow_threshold:
             traj.append((t + (blow_threshold - y) * dt / (y_new - y), blow_threshold))
             return traj
@@ -193,12 +196,49 @@ def reference_rk4(prob, blow_threshold=1e6):
     return traj
 
 
+def _above_edge(l, c, ulps):
+    """psi0 the given number of ulps above the edge c^(1/l)."""
+    edge = c ** (1.0 / l)
+    return edge + ulps * math.ulp(edge)
+
+
+def _outcome(integrate, prob, threshold):
+    """The trajectory, or the RuntimeError's message."""
+    try:
+        return integrate(prob, threshold)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+FIRST_STEP_CROSSING = (2.0, 1.0, 10.0, 10.005)
+
+# near the edge the stages are closest to 0, so the inlined loop's dropped
+# abs() is tested where its positivity argument is tightest: 3 ulps above
+# the edge a step stalls, 2000 ulps above it the run crosses the threshold
+NEAR_EDGE = [
+    (l, c, _above_edge(l, c, ulps), 1e3)
+    for l, c in ((2.0, 1.0), (1.5, 4.0), (6.0, 3.0), (1.05, 1.0))
+    for ulps in (3, 2000)
+]
+
+
 @pytest.mark.parametrize(
-    "l, c, psi0, threshold", [(2.0, 1.0, 2.0, 1e6), (1.7, 0.5, 3.0, 1e5), (3.3, 0.0, 0.4, 1e4)]
+    "l, c, psi0, threshold",
+    [(2.0, 1.0, 2.0, 1e6), (1.7, 0.5, 3.0, 1e5), (3.3, 0.0, 0.4, 1e4),
+     (1.05, 1.0, 2.0, 1e3), (6.0, 3.0, 1.3, 1e6), (2.0, 0.0, 1e-3, 1e2),
+     FIRST_STEP_CROSSING]
+    + NEAR_EDGE,
 )
 def test_integrate_matches_reference_loop(l, c, psi0, threshold):
     prob = OdeProblem(l=l, c=c, psi0=psi0)
-    assert integrate_comparison(prob, threshold) == reference_rk4(prob, threshold)
+    assert _outcome(integrate_comparison, prob, threshold) == _outcome(
+        reference_rk4, prob, threshold)
+
+
+def test_first_step_crossing_case_crosses_on_the_first_step():
+    l, c, psi0, threshold = FIRST_STEP_CROSSING
+    traj = integrate_comparison(OdeProblem(l=l, c=c, psi0=psi0), threshold)
+    assert len(traj) == 2 and traj[-1][1] == threshold
 
 
 def _cap_address_space():
