@@ -20,7 +20,6 @@ from .functionals import (
     State,
     default_k,
     dissipation_rate,
-    energy_identity_residual,
     make_report,
 )
 from .geometry import AnnulusMesh, build_annulus
@@ -61,7 +60,6 @@ __all__ = [
     "critical_exponents",
     "default_k",
     "dissipation_rate",
-    "energy_identity_residual",
     "integrate_comparison",
     "make_report",
     "negative_energy_data",

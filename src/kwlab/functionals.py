@@ -7,7 +7,9 @@ Conventions (matching the continuous problem):
     J              (gamma/p) ||u||_p^p + (delta/q) ||u||_{q,circle}^q
     E              1/2 kinetic + 1/2 ∫|grad u|^2 + 1/2 ∫|grad_tang u|^2 - J
     K              -E (the blow-up bookkeeping quantity; K > 0 on
-                   negative-energy trajectories and is nondecreasing)
+                   negative-energy trajectories; it is nondecreasing for
+                   the continuous problem, but the discrete K is not: near
+                   blow-up E can rise above E(0) for several reports)
     Z              K^{1-k} + (u', u)_{H0} with k = default_k(params), the
                    Lyapunov functional whose superlinear growth drives the
                    blow-up argument
@@ -33,7 +35,6 @@ __all__ = [
     "REPORT_COLUMNS",
     "default_k",
     "dissipation_rate",
-    "energy_identity_residual",
     "make_report",
 ]
 
@@ -53,14 +54,18 @@ class State:
     t: float = 0.0
 
 
-def _check_state(mesh: AnnulusMesh, state: State, name: str = "state") -> State:
-    """The state with float u and v, which must share the shape (n_r, n_theta)
-    or (n_cells, n_r, n_theta); the entry points check, the kernels do not."""
+def _check_state(
+    mesh: AnnulusMesh, state: State, name: str = "state", stack: bool = True
+) -> State:
+    """The state with float u and v, which must share the shape (n_r, n_theta),
+    or (n_cells, n_r, n_theta) where `stack` allows one; the entry points
+    check, the kernels do not."""
     u, v = np.asarray(state.u, dtype=float), np.asarray(state.v, dtype=float)
-    grid = (mesh.n_r, mesh.n_theta)
-    if not (u.shape == v.shape and u.shape[-2:] == grid and u.ndim in (2, 3)):
-        raise ValueError(f"{name} u and v must have shape {grid} or (n_cells, {grid[0]}, "
-                         f"{grid[1]}), got {u.shape} and {v.shape}")
+    grid, ndims = (mesh.n_r, mesh.n_theta), (2, 3) if stack else (2,)
+    if not (u.shape == v.shape and u.shape[-2:] == grid and u.ndim in ndims):
+        also = f" or (n_cells, {grid[0]}, {grid[1]})" if stack else ""
+        raise ValueError(f"{name} u and v must have shape {grid}{also}, "
+                         f"got {u.shape} and {v.shape}")
     return State(u, v, state.t)
 
 
@@ -180,32 +185,21 @@ def dissipation_rate(mesh: AnnulusMesh, state: State, params: ModelParams) -> fl
     return total
 
 
-def energy_identity_residual(report_prev: EnergyReport, report_next: EnergyReport) -> float:
-    """Defect of the discrete energy identity between two consecutive reports:
-    E_next - E_prev + trapezoid of the dissipation rate.  Zero for the exact
-    flow; O(dt^2) for the integrator."""
-    if report_next.t < report_prev.t:
-        raise ValueError(
-            f"non-monotone report times: {report_prev.t} -> {report_next.t}"
-        )
-    dt = report_next.t - report_prev.t
-    return (
-        report_next.E
-        - report_prev.E
-        + 0.5 * dt * (report_prev.dissipation_rate + report_next.dissipation_rate)
-    )
-
-
 def make_report(
     mesh: AnnulusMesh, state: State, params: ModelParams, *, prev: EnergyReport | None = None
 ) -> EnergyReport:
-    """Evaluate every monitored functional at one snapshot.
+    """Evaluate every monitored functional at one cell's (n_r, n_theta) snapshot.
 
     This is the one place J, E, K and Z are computed.  Z is filled only when
-    K > 0 (in every cell of a stack) and default_k(params) is not None; the
-    identity residual is measured against `prev` (0 for the first report).
+    K > 0 and default_k(params) is not None.  The identity residual is the
+    defect of the discrete energy identity since `prev` (0 without one):
+    E - prev.E plus the trapezoid of the dissipation rate over the report
+    interval, so it also holds the trapezoid's error and grows with the
+    interval.  ValueError if state.t is before prev.t.
     """
-    state = _check_state(mesh, state)
+    state = _check_state(mesh, state, stack=False)
+    if prev is not None and state.t < prev.t:
+        raise ValueError(f"non-monotone report times: {prev.t} -> {state.t}")
     u, v = state.u, state.v
     plan = params._plan
     lp, lq = _source_norms(mesh, u, plan)
@@ -215,14 +209,14 @@ def make_report(
     e_val = 0.5 * kin + 0.5 * grad_omega + 0.5 * grad_gamma - j_val
     k_val = -e_val
     z_val = None
-    k_min = k_val.min() if isinstance(k_val, np.ndarray) else k_val  # a stack's least K
-    if k_min > 0.0 and (k := default_k(params)) is not None:
-        pairing = integrate_interior(mesh, v * u) + integrate_boundary(
-            mesh, v[..., -1, :] * u[..., -1, :]
-        )
+    if k_val > 0.0 and (k := default_k(params)) is not None:
+        pairing = integrate_interior(mesh, v * u) + integrate_boundary(mesh, v[-1] * u[-1])
         z_val = k_val ** (1.0 - k) + pairing
     diss = dissipation_rate(mesh, state, params)
-    report = EnergyReport(
+    residual = 0.0
+    if prev is not None:
+        residual = e_val - prev.E + 0.5 * (state.t - prev.t) * (prev.dissipation_rate + diss)
+    return EnergyReport(
         t=state.t,
         lp_interior=lp,
         lq_boundary=lq,
@@ -235,10 +229,5 @@ def make_report(
         K=k_val,
         Z=z_val,
         dissipation_rate=diss,
-        identity_residual=0.0,
+        identity_residual=residual,
     )
-    if prev is not None:
-        report = dataclasses.replace(
-            report, identity_residual=energy_identity_residual(prev, report)
-        )
-    return report

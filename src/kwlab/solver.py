@@ -15,9 +15,11 @@ kicks by a pointwise implicit midpoint solve,
 where S is the stiffness+source acceleration and D the damping acceleration.
 For D = 0 this is plain Verlet; for S = 0 it reduces to the implicit midpoint
 rule for v' = -D(v), which for our odd nondecreasing D is unconditionally
-contractive.  Both halves are second order, and because the reported energy
-is exactly the invariant of the semi-discrete flow (see geometry), the
-energy-identity residual measures pure time-discretization error.
+contractive.  Both halves are second order, and the reported energy is
+exactly the invariant of the semi-discrete flow (see geometry).  The
+energy-identity residual between two reports integrates the dissipation rate
+by the trapezoid over the report interval, so it holds that quadrature's
+error too and grows with report_every.
 
 Near blow-up the damping solve stays pointwise: the equation
 x + kappa*D(x) = b has exactly one root, trapped between 0 and b, found by a
@@ -517,6 +519,12 @@ def _crossing(
     return hit[()] if hit.ndim == 0 else hit
 
 
+def _before_end(cfg: SimConfig, t: float) -> bool:
+    """Whether a run at t has not yet reached cfg.t_end: the end test of an
+    accepted step, and the bound an initial t must stay below."""
+    return t < cfg.t_end - 1e-12 * cfg.t_end
+
+
 @dataclass(slots=True)
 class _Cell:
     """One cell's step controller: it decides the cell's dt and how each step
@@ -556,11 +564,13 @@ class _Cell:
             self.dt = min(2.0 * self.dt, cfg.dt)
             self.streak = 0
         if self.accepted % cfg.report_every == 0:
-            self.reports.append(
-                make_report(self.mesh, state, cfg.params, prev=self.reports[-1])
-            )
-        if not self.t < cfg.t_end - 1e-12 * cfg.t_end:
+            self.report(state)
+        if not _before_end(cfg, self.t):
             self.finish(state, "None", None)
+
+    def report(self, state: State) -> None:
+        """Append the report of `state`, its residual measured since the last row."""
+        self.reports.append(make_report(self.mesh, state, self.cfg.params, prev=self.reports[-1]))
 
     def reject(self, final: State, cause: str, t_try: float) -> None:
         """Roll back a step to t_try rejected for `cause` (DtFloor, PhaseNorm
@@ -576,9 +586,7 @@ class _Cell:
         """End the run at `final`; `bracket` is None unless it blew up."""
         reports = self.reports
         if reports[-1].t != final.t:
-            reports.append(
-                make_report(self.mesh, final, self.cfg.params, prev=reports[-1])
-            )
+            self.report(final)
         self.result = reports, BlowupReport(
             blew_up=bracket is not None,
             t_detect=None if bracket is None else bracket[1],
@@ -665,8 +673,8 @@ def simulate_batch(
     gives it alone.  `initials` overrides the configured initial data cell by
     cell (None keeps it).  Raises ValueError when an initial state does not
     have the mesh's shape, is nonzero on the pinned circle, has a t that is
-    not finite or not below t_end (the end test of _Cell.accept, so every
-    run takes a step) or so large in magnitude that t + dt_min rounds to t
+    not finite or not below t_end (by _before_end, the end test of an
+    accepted step, so every run takes a step) or so large in magnitude that t + dt_min rounds to t
     (the run could never advance), or already crosses the blow-up monitors.
     """
     cfgs = list(cfgs)
@@ -682,12 +690,12 @@ def simulate_batch(
         if initial is None:
             initial = initial_state(mesh, cfg.params, cfg)
         else:
-            initial = functionals._check_state(mesh, initial, "initial")
-            if initial.u.ndim != 2 or initial.u[0].any() or initial.v[0].any():
+            initial = functionals._check_state(mesh, initial, "initial", stack=False)
+            if initial.u[0].any() or initial.v[0].any():
                 raise ValueError(f"initial u and v must have shape {shape[2:]} and be "
                                  "zero on the pinned circle (row 0)")
             t = initial.t
-            if not -math.inf < t < cfg.t_end - 1e-12 * cfg.t_end or t + cfg.dt_min == t:
+            if not (-math.inf < t and _before_end(cfg, t)) or t + cfg.dt_min == t:
                 raise ValueError(f"initial t must be finite and below t_end={cfg.t_end}, and "
                                  f"t + dt_min must exceed t (dt_min={cfg.dt_min}), got {t}")
         states.append(initial)

@@ -97,10 +97,12 @@ def test_entry_points_reject_bad_state_shapes(mesh, shape):
 
 def test_report_and_dissipation_reject_u_and_v_that_disagree(mesh):
     """make_report used to return per-cell arrays for a 2-D u beside a
-    stacked v, and dissipation_rate read v alone, whatever u held."""
+    stacked v, and dissipation_rate read v alone, whatever u held.
+    make_report takes one cell's state, so a stack is refused too."""
     field, stack = np.zeros((33, 32)), np.zeros((2, 33, 32))
-    with pytest.raises(ValueError, match="u and v must have shape"):
-        make_report(mesh, State(field, stack), SOURCE_PARAMS)
+    for state in (State(field, stack), State(stack, stack)):
+        with pytest.raises(ValueError, match="u and v must have shape"):
+            make_report(mesh, state, SOURCE_PARAMS)
     for par in (SOURCE_PARAMS, ModelParams(alpha=1.0, gamma=1.0, p=4)):
         with pytest.raises(ValueError, match="u and v must have shape"):
             dissipation_rate(mesh, State(stack, field), par)
@@ -697,6 +699,29 @@ def test_simulate_identity_residual_refines():
 
     ratio = accumulated(1.0) / accumulated(0.5)
     assert 3.0 <= ratio <= 8.5
+
+
+@pytest.mark.parametrize("report_every", [1, 10])
+@pytest.mark.parametrize("par, init, blows_up", [
+    # a Newton kick, ending at t_end between two due reports
+    (ModelParams(gamma=1.0, p=4, alpha=1.0, m=3), dict(initial_scale=0.8, t_end=1.51), False),
+    # both sources, ending at a detected blow-up
+    (ModelParams(gamma=1.0, p=4, delta=1.0, q=3),
+     dict(initial_mode="auto_negative_energy", t_end=3.0), True),
+])
+def test_identity_residual_is_the_trapezoid_defect_of_each_row(par, init, blows_up, report_every):
+    """Every row after the first, a due report or the run's last, holds E -
+    prev.E plus the trapezoid of the dissipation rate over the report
+    interval, bitwise; this formula is the reference."""
+    cfg = SimConfig(params=par, n_r=17, n_theta=16, report_every=report_every, **init)
+    reports, blowup = simulate(cfg)
+    assert blowup.blew_up == blows_up and blowup.final_report == reports[-1]
+    assert reports[0].identity_residual == 0.0
+    for prev, rep in zip(reports, reports[1:]):
+        want = rep.E - prev.E + 0.5 * (rep.t - prev.t) * (
+            prev.dissipation_rate + rep.dissipation_rate)
+        assert rep.identity_residual == want
+    assert any(rep.identity_residual != 0.0 for rep in reports)
 
 
 def test_calm_run_evaluates_the_exact_norms_only_for_its_reports(monkeypatch):
