@@ -4,9 +4,10 @@
 #   scripts/diff_outputs.sh HEAD~
 #
 # Both sides run this checkout's scripts/cli_outputs.sh, so they write the
-# same set of files; REV's source runs from a temporary git worktree, which
-# is removed on exit.  Prints `diff -r` of the two output trees; exits
-# nonzero on any difference.
+# same set of files; REV's files are extracted with `git archive` into a
+# temporary directory, removed on exit, so the repository's .git is only
+# read.  Prints `diff -r` of the two output trees; exits nonzero on any
+# difference.
 set -eu
 
 if [ $# -ne 1 ]; then
@@ -15,13 +16,11 @@ if [ $# -ne 1 ]; then
 fi
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 TMP=$(mktemp -d)
-cleanup() {
-    git -C "$ROOT" worktree remove --force "$TMP/rev" 2>/dev/null || true
-    git -C "$ROOT" worktree prune
-    rm -rf "$TMP"
-}
-trap cleanup EXIT
-git -C "$ROOT" worktree add --detach --quiet "$TMP/rev" "$1"
+trap 'rm -rf "$TMP"' EXIT
+mkdir "$TMP/rev"
+# through a file, not a pipe, so that a bad REV stops the script
+git -C "$ROOT" archive --output="$TMP/rev.tar" "$1"
+tar -x -f "$TMP/rev.tar" -C "$TMP/rev"
 mkdir -p "$TMP/rev/scripts"
 cp "$ROOT/scripts/cli_outputs.sh" "$TMP/rev/scripts/cli_outputs.sh"
 sh "$TMP/rev/scripts/cli_outputs.sh" "$TMP/before" >/dev/null

@@ -15,13 +15,15 @@ h(v, e) = |v|^{e-2}v: the dampings P = (alpha, m, a, mt) and Q = (beta, mu,
 b, qt), and the sources f = (gamma, p) and g = (delta, q) with w2 = 0.  The
 derivatives P' and Q' that the implicit damping kick needs take the same
 form with h' = (e-1)|v|^{e-2}.  A plan (_Plan) resolves each term's branches
-once: whether its weight is zero (the term is off and evaluates to zeros),
-whether w2 is zero (no second summand), and for each summand whether its
-exponent is the number 2 (then h(v) = v).  The exponents NumPy's ** takes by
-a shortcut are found once too (_Power), and so are the slopes of linear
-dampings (lin).  The solver builds a plan when a stack of several cells
-forms; a single record's plan, ModelParams._plan, is built on first use and
-serves every one-cell run.  |v| and sign(v) are taken once per evaluation.
+once: whether its weight is zero (the term is off and evaluates to zeros) or
+the number 1 (not applied), whether w2 is zero (no second summand), and for
+each summand whether its exponent is the number 2 (then h(v) = v).  The
+exponents NumPy's ** takes by a shortcut are found once too (_Power), and so
+are the slopes of linear dampings (lin).  The solver builds a plan when a
+stack of several cells forms; a single record's plan, ModelParams._plan, is
+built on first use and serves every one-cell run.  |v| and sign(v) are taken
+once per evaluation; a caller that evaluates a term and its derivative at one
+v passes |v| to both.
 """
 from __future__ import annotations
 
@@ -144,17 +146,22 @@ class _Term:
     docstring), with its branches resolved at construction.
 
     A zero weight makes the term off: it evaluates to zeros.  A zero weight2
-    drops the second summand.  A summand whose exponent is the number 2 is
-    h(v) = v; the others raise |v| through a _Power.  `linear` holds when the
-    term is off or every summand is h(v) = v, so the term is weight*(1 +
-    weight2)*v.
+    drops the second summand.  A weight that is the number 1 is not applied,
+    since x*1.0 is x.  A summand whose exponent is the number 2 is h(v) = v;
+    the others raise |v| through a _Power.  `linear` holds when the term is
+    off or every summand is h(v) = v, so the term is weight*(1 + weight2)*v.
+    Otherwise the term sums the unsigned summands and multiplies by sign(v)
+    once, which is exact since sign(v) is -1, +0, +1 or nan.  A caller that
+    has |v| passes it as abs_v.
     """
 
-    __slots__ = ("on", "second", "weight", "e", "weight2", "linear", "_powers", "_slopes")
+    __slots__ = ("on", "second", "weight", "e", "weight2", "linear", "_unit", "_powers",
+                 "_slopes")
 
     def __init__(self, weight, e, weight2=0.0, e2=None):
         self.on = isinstance(weight, np.ndarray) or weight != 0.0
         self.second = isinstance(weight2, np.ndarray) or weight2 != 0.0
+        self._unit = not isinstance(weight, np.ndarray) and weight == 1.0
         self.weight, self.e, self.weight2 = weight, e, weight2
         exponents = (e, e2) if self.second else (e,)
         # None where h(v) = v (an exponent array is never the number 2), else
@@ -165,21 +172,29 @@ class _Term:
         # h'(v) = (s - 1)|v|**(s - 2), inf at v = 0 when s < 2
         self._slopes = [(s - 1.0, _Power(s - 2.0)) for s in exponents]
 
-    def __call__(self, v):
+    def __call__(self, v, abs_v=None):
         if not self.on:
             return np.zeros_like(v)
-        if not self.linear:
-            abs_v, sign_v = np.abs(v), np.sign(v)
-        # v + 0.0 is sign(v)*|v|**1.0 exactly, including -0.0 -> +0.0
-        return self._sum([v + 0.0 if power is None else sign_v * power(abs_v)
-                          for power in self._powers])
+        if self.linear:
+            # v + 0.0 is sign(v)*|v|**1.0 exactly, including -0.0 -> +0.0
+            return self._sum([v + 0.0 for _ in self._powers])
+        if abs_v is None:
+            abs_v = np.abs(v)
+        # the unsigned summands (a copy of |v| where h(v) = v, as _sum writes
+        # into them), signed once; sign(v) is the left operand, as in
+        # sign(v)*|v|**s, so a nan keeps its bits
+        signed = np.sign(v)
+        signed *= self._sum([abs_v.copy() if power is None else power(abs_v)
+                             for power in self._powers])
+        return signed
 
-    def prime(self, v):
+    def prime(self, v, abs_v=None):
         """The derivative; 0**(s - 2) divides by zero at v = 0 when s < 2, and
         the caller's np.errstate decides whether that warns."""
         if not self.on:
             return np.zeros_like(v)
-        abs_v = np.abs(v)
+        if abs_v is None:
+            abs_v = np.abs(v)
         return self._sum([c * power(abs_v) for c, power in self._slopes])
 
     def _sum(self, h):
@@ -188,7 +203,8 @@ class _Term:
         if len(h) > 1:
             h[1] *= self.weight2
             h[0] += h[1]
-        h[0] *= self.weight
+        if not self._unit:
+            h[0] *= self.weight
         return h[0]
 
 

@@ -26,9 +26,12 @@ x + kappa*D(x) = b has exactly one root, trapped between 0 and b, found by a
 vectorized safeguarded Newton iteration (bisection fallback, as in rtsafe),
 with a closed form when every active damping exponent is 2.  An entry whose
 residual meets the tolerance is frozen; only the others shrink their bracket
-and move.  v_next reuses the iteration's last evaluation of D(v_half).  Every
-kernel writes only into arrays it (or for the kick, step) allocated: a + k*b
-is formed as k*b, then += a; IEEE + and * commute, so the bits are the same.
+and move.  Each iteration takes |x| once, for both D and dD/dv, and evaluates
+them only on the band of rows that holds an unconverged entry of some cell;
+a row outside the band keeps the D of its frozen x.  v_next reuses the
+iteration's last evaluation of D(v_half).  Every kernel writes only into
+arrays it (or for the kick, step) allocated: a + k*b is formed as k*b, then
++= a; IEEE + and * commute, so the bits are the same.
 
 S is evaluated once per step: the S(u_next) that ends a step is the S(u_n)
 that starts the next one (first same as last), so simulate carries it from
@@ -240,25 +243,31 @@ def _accel(mesh: AnnulusMesh, u: np.ndarray, plan: _Plan) -> np.ndarray:
     return acc
 
 
-def _free_row_mix(mesh: AnnulusMesh, v: np.ndarray, plan: _Plan, prime: bool) -> np.ndarray:
+def _free_row_mix(mesh: AnnulusMesh, v: np.ndarray, plan: _Plan, prime: bool,
+                  abs_v: np.ndarray | None = None, free_row: bool = True) -> np.ndarray:
     """P(v) at interior rows, the mass-scaled mix ((dr/2) P(v) + Q(v)) / (1 + dr/2)
     on the free-circle row; Q is skipped when it is off.  D for prime False,
-    dD/dv for prime True."""
+    dD/dv for prime True.  abs_v is |v| if the caller has it.  free_row False
+    says v is a band of interior rows, so its last row is P alone."""
     P, Q = plan.P, plan.Q
-    d = P.prime(v) if prime else P(v)
-    half = 0.5 * mesh.dr
-    d_last = half * d[..., -1, :]
-    if Q.on:
-        # the row keeps its axis while per-cell parameters act on it
-        v_last = v[..., -1:, :]
-        d_last = d_last + (Q.prime(v_last) if prime else Q(v_last))[..., 0, :]
-    d[..., -1, :] = d_last / (1.0 + half)
+    d = P.prime(v, abs_v) if prime else P(v, abs_v)
+    if free_row:
+        half = 0.5 * mesh.dr
+        last = d[..., -1, :]
+        last *= half
+        if Q.on:
+            # the row keeps its axis while per-cell parameters act on it
+            v_last = v[..., -1:, :]
+            abs_last = None if abs_v is None else abs_v[..., -1:, :]
+            last += (Q.prime(v_last, abs_last) if prime else Q(v_last, abs_last))[..., 0, :]
+        last /= 1.0 + half
     return d
 
 
-def _damping_accel(mesh: AnnulusMesh, v: np.ndarray, plan: _Plan) -> np.ndarray:
+def _damping_accel(mesh: AnnulusMesh, v: np.ndarray, plan: _Plan,
+                   abs_v: np.ndarray | None = None, free_row: bool = True) -> np.ndarray:
     """Damping acceleration D(v), assembled by _free_row_mix from P and Q."""
-    return _free_row_mix(mesh, v, plan, False)
+    return _free_row_mix(mesh, v, plan, False, abs_v, free_row)
 
 
 def _solve_damped_kick(
@@ -271,9 +280,12 @@ def _solve_damped_kick(
     form from the plan's slopes when D is linear.  Converged entries are
     frozen: each sits on an end of its own bracket, so the bracket test
     would bisect it away, and because they stay put no cell of a stack
-    depends on another.  D(x) is the last residual's, or None when the kick
-    evaluated none (closed form, no damping).  b is the caller's scratch:
-    without damping x is b itself, and the closed form overwrites b with x.
+    depends on another.  Each iteration takes |x| once for D and dD/dv, and
+    evaluates them only on the band of rows that holds an unconverged entry
+    of some cell; the rows outside are frozen and keep their D.  D(x) is the
+    last residual's, or None when the kick evaluated none (closed form, no
+    damping).  b is the caller's scratch: without damping x is b itself, and
+    the closed form overwrites b with x.
     """
     if not plan.damped:
         return b, None
@@ -288,27 +300,53 @@ def _solve_damped_kick(
 
     lo, hi = np.minimum(b, 0.0), np.maximum(b, 0.0)
     x = b.copy()
+    d = np.empty_like(b)
     tol = 1e-14 * (1.0 + np.abs(b))
+    n_r = b.shape[-2]
+    across_rows = tuple(range(b.ndim - 2)) + (b.ndim - 1,)
+    r0, r1 = 0, n_r
     # the safeguard and the final residual check catch non-finite values,
     # the slope's inf at v = 0 included
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for _ in range(120):
-            d = _damping_accel(mesh, x, plan)
-            g = x + kappa * d - b
-            done = np.abs(g) <= tol
-            if done.all():
+            x_band = x[..., r0:r1, :]
+            abs_x = np.abs(x_band)
+            d_band = _damping_accel(mesh, x_band, plan, abs_x, r1 == n_r)
+            d[..., r0:r1, :] = d_band
+            g = kappa * d_band
+            g += x_band
+            g -= b[..., r0:r1, :]
+            # not (|g| <= tol): an entry with a nan residual keeps moving
+            moving = np.logical_not(np.abs(g) <= tol[..., r0:r1, :])
+            rows = moving.any(axis=across_rows).nonzero()[0]
+            if not rows.size:
                 return x, d
+            # narrow the band to the rows that still move; the update of a
+            # converged entry is discarded anyway
+            s0, s1 = int(rows[0]), int(rows[-1]) + 1
+            g, moving, abs_x = g[..., s0:s1, :], moving[..., s0:s1, :], abs_x[..., s0:s1, :]
+            r0, r1 = r0 + s0, r0 + s1
+            x_band, lo_band, hi_band = x[..., r0:r1, :], lo[..., r0:r1, :], hi[..., r0:r1, :]
             # a converged entry is frozen, so its bracket is never read again
             pos = g > 0
-            hi = np.where(pos, x, hi)
-            lo = np.where(pos, lo, x)
+            np.copyto(hi_band, x_band, where=pos)
+            # not g > 0, so a nan residual moves lo, as np.where(pos, lo, x) did
+            np.copyto(lo_band, x_band, where=np.logical_not(pos))
             # dD/dv is inf at 0 when an exponent is below 2; such steps bisect
-            slope = _free_row_mix(mesh, x, plan, True)
-            x_new = x - g / (1.0 + kappa * slope)
-            inside = (x_new > lo) & (x_new < hi)
-            x = np.where(done, x, np.where(inside, x_new, 0.5 * (lo + hi)))
-    d = _damping_accel(mesh, x, plan)
-    resid = np.abs(x + kappa * d - b)
+            denom = _free_row_mix(mesh, x_band, plan, True, abs_x, r1 == n_r)
+            denom *= kappa
+            denom += 1.0
+            g /= denom
+            x_new = np.subtract(x_band, g, out=g)
+            inside = x_new > lo_band
+            inside &= x_new < hi_band
+            if not inside.all():
+                mid = lo_band + hi_band
+                mid *= 0.5
+                np.copyto(x_new, mid, where=np.logical_not(inside))
+            np.copyto(x_band, x_new, where=moving)
+        d = _damping_accel(mesh, x, plan)
+        resid = np.abs(x + kappa * d - b)
     unconverged = ~(resid <= 1e3 * tol)
     if not unconverged.any():
         return x, d

@@ -173,26 +173,35 @@ def test_exponent_two_equals_general_power_bitwise():
 
 @pytest.mark.parametrize("shape", [(3, 129, 128), (3, 1, 128)])
 def test_term_on_a_stack_equals_the_formula_bitwise(shape):
-    """P of a stack whose cells differ in their weights and exponents (none
-    of them a NumPy shortcut) is weight*(h0 + weight2*h1), and P' the same
-    form of the slopes, each computed directly."""
+    """P of a stack whose cells differ in their weights (one of them 1) and
+    exponents (none of them a NumPy shortcut), and of one record with weight
+    1 or 0.7, is weight*(sign*h0 + weight2*sign*h1), and P' the same form of
+    the slopes, each computed directly: bit for bit, at +-0, +-inf, nan and
+    subnormal entries too."""
     records = [ModelParams(alpha=al, a=a, m=m, m_tilde=mt)
                for al, a, m, mt in ((1.0, 0.5, 3.5, 1.6), (2.5, 1.5, 4.25, 1.8),
                                     (0.75, 0.25, 2.75, 1.3))]
-    plan = _Plan(records)
     alpha, a, m, mt = (np.array([getattr(r, k) for r in records])[:, None, None]
                        for k in ("alpha", "a", "m", "m_tilde"))
+    cases = [(_Plan(records), alpha, a, m, mt)]
+    for weight in (1.0, 0.7):
+        par = ModelParams(alpha=weight, a=0.7, m=3.5, m_tilde=1.6)
+        cases.append((par._plan, par.alpha, par.a, par.m, par.m_tilde))
     v = np.random.default_rng(7).standard_normal(shape) * 3.0
-    abs_v = np.abs(v)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -2.2e-308]
+    v[..., 0, :len(specials)] = specials
+    abs_v, sign_v = np.abs(v), np.sign(v)
 
     def h(e):
-        return np.sign(v) * abs_v ** (e - 1.0)
+        return sign_v * abs_v ** (e - 1.0)
 
     def slope(e):
         return (e - 1.0) * abs_v ** (e - 2.0)
 
-    assert np.array_equal(plan.P(v), alpha * (h(m) + a * h(mt)))
-    assert np.array_equal(plan.P.prime(v), alpha * (slope(m) + a * slope(mt)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for plan, alpha, a, m, mt in cases:
+            assert plan.P(v).tobytes() == (alpha * (h(m) + a * h(mt))).tobytes()
+            assert plan.P.prime(v).tobytes() == (alpha * (slope(m) + a * slope(mt))).tobytes()
 
 
 def test_odd_symmetry():

@@ -221,6 +221,147 @@ def test_damped_kick_newton_iteration_count(monkeypatch, par):
     assert counts["evals"] / counts["kicks"] <= 8.0
 
 
+def reference_kick(mesh, b, kappa, plan):
+    """_solve_damped_kick's Newton loop as it was when every iteration took
+    |x| twice and evaluated D and dD/dv on the whole grid; the kick must
+    match it bit for bit."""
+    lo, hi = np.minimum(b, 0.0), np.maximum(b, 0.0)
+    x = b.copy()
+    tol = 1e-14 * (1.0 + np.abs(b))
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for _ in range(120):
+            d = solver._damping_accel(mesh, x, plan)
+            g = x + kappa * d - b
+            done = np.abs(g) <= tol
+            if done.all():
+                return x, d
+            pos = g > 0
+            hi = np.where(pos, x, hi)
+            lo = np.where(pos, lo, x)
+            slope = solver._free_row_mix(mesh, x, plan, True)
+            x_new = x - g / (1.0 + kappa * slope)
+            inside = (x_new > lo) & (x_new < hi)
+            x = np.where(done, x, np.where(inside, x_new, 0.5 * (lo + hi)))
+    d = solver._damping_accel(mesh, x, plan)
+    resid = np.abs(x + kappa * d - b)
+    unconverged = ~(resid <= 1e3 * tol)
+    if not unconverged.any():
+        return x, d
+    raise StepFailure(
+        f"damping solve did not converge: {np.count_nonzero(unconverged)} of "
+        f"{resid.size} entries above tolerance, worst residual {np.max(resid):.3e}",
+        cells=unconverged.any(axis=(-2, -1)) if unconverged.ndim == 3 else None,
+    )
+
+
+def newton_config(t_end=0.25, profile="sine", scale=2.0, **params):
+    return SimConfig(params=ModelParams(**params), t_end=t_end, initial_profile=profile,
+                     initial_scale=scale)
+
+
+# the benchmark's damped pool record 0 (m_tilde 1.25): from t = 0.4 on its
+# kicks often end in a bisection tail; before t = 0.85 the longest takes 23
+# evaluations
+POOL_RECORD_0 = dict(alpha=1.0, beta=1.0, gamma=1.0, delta=1.0, a=0.7934429425833257,
+                     m=3.1388902914965597, m_tilde=1.25013481945106, mu=3.1065536192015317,
+                     p=2.1297359078824116, q=2.9553241020516223)
+
+KICK_RUNS = {
+    "m4_mt1.5": lambda: simulate(newton_config(alpha=1.0, m=4, a=1.0, m_tilde=1.5, gamma=1.0, p=3)),
+    "boundary_mut1.5": lambda: simulate(newton_config(
+        profile="bump", beta=1.0, b=0.5, mu=3.0, mu_tilde=1.5, gamma=1.0, p=3.0)),
+    "m3_mt2": lambda: simulate(newton_config(alpha=1.0, m=3, a=1.0, m_tilde=2.0, gamma=1.0, p=3)),
+    # per-cell m_tilde; 1.5 raises |v| to the 0.5, a NumPy shortcut
+    "stack": lambda: simulate_batch([newton_config(alpha=1.0, m=4, a=1.0, m_tilde=mt, gamma=1.0, p=3)
+                                     for mt in (1.5, 1.3, 1.8)]),
+    "pool_record_0": lambda: simulate(newton_config(
+        t_end=0.85, profile="ramp", scale=0.514415208099274, **POOL_RECORD_0)),
+}
+
+
+def kick_inputs(monkeypatch, case):
+    """(mesh, b, kappa, plan) of every damping kick of a KICK_RUNS run."""
+    inputs, kick = [], solver._solve_damped_kick
+
+    def recorded(mesh, b, kappa, plan):
+        inputs.append((mesh, b.copy(), kappa, plan))
+        return kick(mesh, b, kappa, plan)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_solve_damped_kick", recorded)
+        KICK_RUNS[case]()
+    return inputs
+
+
+def counted_kick(monkeypatch, kick, mesh, b, kappa, plan):
+    """kick's result on a copy of b (or the StepFailure it raised), and the
+    size of the v of each damping evaluation it made."""
+    sizes, damping = [], solver._damping_accel
+
+    def counted_damping(*args):
+        sizes.append(args[1].size)
+        return damping(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_damping_accel", counted_damping)
+        try:
+            return kick(mesh, b.copy(), kappa, plan), sizes
+        except StepFailure as failure:
+            return failure, sizes
+
+
+@pytest.mark.parametrize("case, ndim, longest", [
+    ("m4_mt1.5", 2, 3), ("boundary_mut1.5", 2, 2), ("m3_mt2", 2, 3), ("stack", 3, 4),
+    ("pool_record_0", 2, 20),
+])
+def test_damped_kick_matches_the_reference_loop_bitwise(monkeypatch, case, ndim, longest):
+    """On every kick of a run, x, D(x) and the number of damping evaluations
+    equal the reference loop's; each case's b has the stated ndim, and its
+    longest kick takes at least `longest` evaluations."""
+    inputs = kick_inputs(monkeypatch, case)
+    most = 0
+    for mesh, b, kappa, plan in inputs:
+        assert b.ndim == ndim
+        (x, d), sizes = counted_kick(monkeypatch, solver._solve_damped_kick, mesh, b, kappa, plan)
+        (x_ref, d_ref), ref_sizes = counted_kick(monkeypatch, reference_kick, mesh, b, kappa, plan)
+        assert x.tobytes() == x_ref.tobytes() and d.tobytes() == d_ref.tobytes()
+        assert len(sizes) == len(ref_sizes)
+        most = max(most, len(sizes))
+    assert most >= longest
+
+
+@pytest.mark.parametrize("case, cells", [("m4_mt1.5", None), ("stack", [False, True, False])])
+def test_damped_kick_fails_on_overflow_like_the_reference_loop(monkeypatch, case, cells):
+    """An entry whose D overflows fails the kick with the reference loop's
+    message, and no overflow warning leaks out of the kick."""
+    mesh, b, kappa, plan = kick_inputs(monkeypatch, case)[5]
+    b[(1,) * (b.ndim - 2) + (5, 7)] = 1e200
+    failure, _ = counted_kick(monkeypatch, solver._solve_damped_kick, mesh, b, kappa, plan)
+    # the reference evaluates its final residual outside np.errstate
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_failure, _ = counted_kick(monkeypatch, reference_kick, mesh, b, kappa, plan)
+    assert isinstance(failure, StepFailure) and isinstance(ref_failure, StepFailure)
+    assert str(failure) == str(ref_failure)
+    assert (None if failure.cells is None else failure.cells.tolist()) == cells
+
+
+def test_damped_kick_evaluates_only_the_rows_still_moving(monkeypatch):
+    """After each update the kick evaluates D only on the band of rows that
+    holds an unconverged entry: on the m_tilde = 1.5 record it makes as many
+    evaluations as the reference loop, which cover the grid 4 times per
+    kick, but they cover at most 3.6 grids per kick."""
+    inputs = kick_inputs(monkeypatch, "m4_mt1.5")
+    entries = 0
+    for mesh, b, kappa, plan in inputs:
+        _, sizes = counted_kick(monkeypatch, solver._solve_damped_kick, mesh, b, kappa, plan)
+        _, ref_sizes = counted_kick(monkeypatch, reference_kick, mesh, b, kappa, plan)
+        assert len(sizes) == len(ref_sizes)
+        entries += sum(sizes)
+    kicks, grid = len(inputs), inputs[0][1].size
+    assert kicks == 20
+    assert entries <= 3.6 * grid * kicks
+
+
 @pytest.mark.parametrize(
     "par, outside",
     [
