@@ -127,15 +127,15 @@ def _max_norm_bounds(mesh: AnnulusMesh, state: State, plan: _Plan):
     or inf M, or a product that overflows, gives a NaN or inf bound, which
     bounds nothing.  A constant multiplies M first: M^2 alone can round to 0
     where the exact norm, whose differences are divided by dr, stays subnormal.
+    One cell's bounds are NumPy scalars; a stack keeps (n_cells, 1, 1) axes.
     """
-    axes = (-2, -1)
-    u, v = state.u, state.v
-    m_u = np.maximum(u.max(axis=axes, keepdims=True), -u.min(axis=axes, keepdims=True))
-    m_v = np.maximum(v.max(axis=axes, keepdims=True), -v.min(axis=axes, keepdims=True))
+    u, v, axes, stack = state.u, state.v, (-2, -1), state.u.ndim > 2
+    m_u = np.maximum(u.max(axis=axes, keepdims=stack), -u.min(axis=axes, keepdims=stack))
+    m_v = np.maximum(v.max(axis=axes, keepdims=stack), -v.min(axis=axes, keepdims=stack))
     with np.errstate(over="ignore"):
         phase = (mesh._phase_bound_v * m_v) * m_v + (mesh._phase_bound_u * m_u) * m_u
         source = mesh._source_bound_p * plan.lp(m_u) + mesh._source_bound_q * plan.lq(m_u)
-    return phase[..., 0, 0], source[..., 0, 0]
+    return (phase[:, 0, 0], source[:, 0, 0]) if stack else (phase, source)
 
 
 def _source_terms(plan: _Plan, lp: float, lq: float) -> tuple[float, float]:

@@ -16,9 +16,11 @@ cell axis, (n_cells, n_r, n_theta) or (n_cells, n_theta), and treats each
 cell on its own: a quadrature then returns one value per cell, and each
 value is bitwise the one the cell's own 2-D field gives.  The operators take
 float arrays of these shapes unchecked; states are checked where they enter.
-laplacian's coefficients are stored repeated along theta, at the shape of
-the rows they scale: numpy combines equal shapes in its contiguous loop, much
-faster than it broadcasts a (rows, 1) column along theta.
+Each stencil does its plain formula's operations on the same operands, so it
+keeps the formula's bits, but in contiguous passes: laplacian's coefficients
+are stored at full row shape; theta differences run over flat views, with the
+wrap columns j = 0 and n_theta-1 taken from their true neighbours; x/dr is
+x*(1/dr) where dr is a power of two, which rounds the same real number.
 
 The interior Laplacian is assembled in conservative flux form,
 
@@ -105,6 +107,8 @@ class AnnulusMesh:
         self._radial_den = np.repeat(r * self.dr, self.n_theta, axis=1)
         self._angular_den = np.repeat((r * self.dtheta) ** 2, self.n_theta, axis=1)
         self._circle_den = (self.r_outer * self.dtheta) ** 2
+        # 1/dr where dr is a power of two with a finite reciprocal (so it is exact)
+        self._inv_dr = 1.0 / self.dr if np.frexp(self.dr)[0] == 0.5 and self.dr >= 2.0**-1023 else None
 
         # constants of the blow-up monitor's bounds by M_u = max|u| and
         # M_v = max|v| (functionals._max_norm_bounds).  A quadrature of v^2,
@@ -164,6 +168,26 @@ def integrate_boundary(mesh: AnnulusMesh, g: np.ndarray) -> float:
     return _per_cell((g * mesh.boundary_weights).sum(axis=-1))
 
 
+def _per_dr(mesh: AnnulusMesh, x: np.ndarray) -> np.ndarray:
+    """x /= dr in place, or x *= 1/dr where that rounds the same; returns x."""
+    return np.divide(x, mesh.dr, out=x) if mesh._inv_dr is None else np.multiply(x, mesh._inv_dr, out=x)
+
+
+def _theta_second_difference(x: np.ndarray, den: np.ndarray | float) -> np.ndarray:
+    """((x[..., j+1] - 2 x[..., j]) + x[..., j-1]) / den, periodic in j, in a fresh array."""
+    x = np.ascontiguousarray(x)
+    t = np.multiply(x, 2.0)
+    flat, t_flat = x.reshape(-1), t.reshape(-1)
+    last = np.subtract(x[..., 0], t[..., -1])
+    np.subtract(flat[1:], t_flat[:-1], out=t_flat[:-1])
+    t[..., -1] = last
+    first = t[..., 0] + x[..., -1]
+    np.add(t_flat[1:], flat[:-1], out=t_flat[1:])
+    t[..., 0] = first
+    t /= den
+    return t
+
+
 def laplacian(mesh: AnnulusMesh, u: np.ndarray) -> np.ndarray:
     """Five-point polar Laplacian u_rr + u_r/r + u_thth/r^2 at interior nodes.
 
@@ -176,17 +200,11 @@ def laplacian(mesh: AnnulusMesh, u: np.ndarray) -> np.ndarray:
     # r_{i+1/2} du/dr
     flux = np.subtract(u[..., 1:, :], u[..., :-1, :])
     flux *= mesh._face_r
-    flux /= mesh.dr
+    _per_dr(mesh, flux)
     inner = out[..., 1:-1, :]
     np.subtract(flux[..., 1:, :], flux[..., :-1, :], out=inner)
     inner /= mesh._radial_den
-    ui = u[..., 1:-1, :]
-    wrapped = np.concatenate((ui[..., -1:], ui, ui[..., :1]), axis=-1)  # periodic in theta
-    angular = 2.0 * ui
-    np.subtract(wrapped[..., 2:], angular, out=angular)
-    angular += wrapped[..., :-2]
-    angular /= mesh._angular_den
-    inner += angular
+    inner += _theta_second_difference(u[..., 1:-1, :], mesh._angular_den)
     return out
 
 
@@ -197,8 +215,7 @@ def laplace_beltrami(mesh: AnnulusMesh, v: np.ndarray) -> np.ndarray:
     exactly at its Nyquist zeros comes back as zero (accuracy loss, not an
     error).
     """
-    wrapped = np.concatenate((v[..., -1:], v, v[..., :1]), axis=-1)
-    return (wrapped[..., 2:] - 2.0 * v + wrapped[..., :-2]) / mesh._circle_den
+    return _theta_second_difference(v, mesh._circle_den)
 
 
 def boundary_flux(mesh: AnnulusMesh, u: np.ndarray) -> np.ndarray:
@@ -222,11 +239,13 @@ def gradient_energy(mesh: AnnulusMesh, u: np.ndarray) -> tuple[float, float]:
     so 0.5*(their sum) is the exactly-conserved stiffness energy of the
     semi-discrete flow.
     """
-    dr, dth = mesh.dr, mesh.dtheta
-    du_r = (u[..., 1:, :] - u[..., :-1, :]) / dr
-    radial = (mesh.r_half[:, None] * du_r**2).sum(axis=(-2, -1)) * dr * dth
+    u, dr, dth = np.ascontiguousarray(u), mesh.dr, mesh.dtheta  # a sum's bits follow its layout
+    du_r = _per_dr(mesh, np.subtract(u[..., 1:, :], u[..., :-1, :]))
+    du_r *= du_r
+    du_r *= mesh._face_r
+    radial = du_r.sum(axis=(-2, -1)) * dr * dth
     du_th = np.empty_like(u)  # u_{i,j+1} - u_{i,j}, periodic in j
-    np.subtract(u[..., 1:], u[..., :-1], out=du_th[..., :-1])
+    np.subtract(u.reshape(-1)[1:], u.reshape(-1)[:-1], out=du_th.reshape(-1)[:-1])
     np.subtract(u[..., 0], u[..., -1], out=du_th[..., -1])
     angular = (mesh._angular_form_weights * (du_th**2).sum(axis=-1)).sum(axis=-1)
     circle = (du_th[..., -1, :] ** 2).sum(axis=-1) / (mesh.r_outer * dth)

@@ -434,3 +434,21 @@ def test_max_norm_bound_holds_where_M_squared_underflows():
     threshold = math.sqrt(5e-324)
     assert exact_monitor(mesh, state, plan, threshold) == "PhaseNorm"
     assert _crossing(mesh, state, plan, threshold) == "PhaseNorm"
+
+
+def test_max_norm_bounds_give_a_scalar_per_cell():
+    """One cell's bounds are 0-d NumPy scalars, not 1x1 arrays; a stack's are
+    one value per cell, each its cell's own bound up to the last bits (a
+    scalar power is libm's, an array's NumPy's)."""
+    mesh = BOUND_MESHES[1]
+    records = [ModelParams(gamma=1.0, p=p, delta=1.0, q=q)
+               for p, q in ((2.0, 3.0), (4.5, 2.0), (3.0, 6.25))]
+    rng = np.random.default_rng(3)
+    us = rng.standard_normal((3, mesh.n_r, mesh.n_theta))
+    vs = rng.standard_normal((3, mesh.n_r, mesh.n_theta))
+    stacked = functionals._max_norm_bounds(mesh, State(us, vs), model._Plan(records))
+    assert [np.shape(bound) for bound in stacked] == [(3,), (3,)]
+    for i, par in enumerate(records):
+        alone = functionals._max_norm_bounds(mesh, State(us[i], vs[i]), par._plan)
+        assert all(isinstance(bound, np.floating) and np.ndim(bound) == 0 for bound in alone)
+        assert np.allclose([bound[i] for bound in stacked], alone, rtol=1e-14, atol=0.0)

@@ -201,45 +201,86 @@ def roll_gradient_energy(m, u):
     return radial + angular, circle
 
 
+def bits(x):
+    """The bytes of an operator's result: arrays and float pairs alike."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def layouts(u):
+    """u itself, a Fortran-ordered copy and a strided view of the same values."""
+    spread = np.zeros(u.shape[:-1] + (2 * u.shape[-1],))
+    spread[..., ::2] = u
+    return u, np.asfortranarray(u), spread[..., ::2]
+
+
 # 129x128: each full-grid temporary (132 KB) lies above glibc's 128 KB mmap
-# threshold, and the stack below is then 3x129x128
+# threshold, and the stack below is then 16x129x128.  On radii 0.5..1 every
+# dr = 1/(2(n_r - 1)) is a power of two, so the kernels multiply by 1/dr; on
+# 1..2.7 it is not, so they divide
 @pytest.mark.parametrize("n_r, n_theta", [(17, 16), (33, 32), (9, 9), (129, 128)])
 def test_operators_bitwise_equal_roll_formulas(n_r, n_theta):
-    m = build_annulus(0.5, 1.0, n_r, n_theta)
     rng = np.random.default_rng(n_r * 100 + n_theta)
-    for _ in range(3):
-        u = rng.standard_normal((n_r, n_theta)) * rng.uniform(0.1, 10.0)
-        lap = G.laplacian(m, u)
-        assert np.array_equal(lap, roll_laplacian(m, u))
-        assert not lap[0].any() and not lap[-1].any()
-        assert np.array_equal(
-            G.laplace_beltrami(m, u[-1]), roll_laplace_beltrami(m, u[-1])
-        )
-        assert G.gradient_energy(m, u) == roll_gradient_energy(m, u)
-        w = np.abs(u)
-        assert G.integrate_interior(m, w) == float(np.sum(w * m.interior_weights))
-        assert G.integrate_boundary(m, w[-1]) == float(np.sum(w[-1] * m.boundary_weights))
-    # a stack with a leading cell axis: each slice as if it came alone
-    us = rng.standard_normal((3, n_r, n_theta)) * rng.uniform(0.1, 10.0, (3, 1, 1))
-    per_cell = {
-        "laplacian": G.laplacian(m, us),
-        "laplace_beltrami": G.laplace_beltrami(m, us[:, -1]),
-        "boundary_flux": G.boundary_flux(m, us),
-        "gradient_energy": np.stack(G.gradient_energy(m, us), axis=-1),
-        "integrate_interior": G.integrate_interior(m, us),
-        "integrate_boundary": G.integrate_boundary(m, us[:, -1]),
-    }
-    for i, u in enumerate(us):
-        alone = {
-            "laplacian": G.laplacian(m, u),
-            "laplace_beltrami": G.laplace_beltrami(m, u[-1]),
-            "boundary_flux": G.boundary_flux(m, u),
-            "gradient_energy": G.gradient_energy(m, u),
-            "integrate_interior": G.integrate_interior(m, u),
-            "integrate_boundary": G.integrate_boundary(m, u[-1]),
+    for m in (build_annulus(0.5, 1.0, n_r, n_theta), build_annulus(1.0, 2.7, n_r, n_theta)):
+        for _ in range(3):
+            u0 = rng.standard_normal((n_r, n_theta)) * rng.uniform(0.1, 10.0)
+            # every layout gives the bits of the C-ordered field
+            for u in layouts(u0):
+                lap = G.laplacian(m, u)
+                assert bits(lap) == bits(roll_laplacian(m, u0))
+                assert not lap[0].any() and not lap[-1].any()
+                assert bits(G.laplace_beltrami(m, u[-1])) == bits(roll_laplace_beltrami(m, u0[-1]))
+                assert bits(G.gradient_energy(m, u)) == bits(roll_gradient_energy(m, u0))
+            w = np.abs(u0)
+            assert G.integrate_interior(m, w) == float(np.sum(w * m.interior_weights))
+            assert G.integrate_boundary(m, w[-1]) == float(np.sum(w[-1] * m.boundary_weights))
+        # a stack with a leading cell axis: each slice as if it came alone
+        us = rng.standard_normal((16, n_r, n_theta)) * rng.uniform(0.1, 10.0, (16, 1, 1))
+        per_cell = {
+            "laplacian": G.laplacian(m, us),
+            "laplace_beltrami": G.laplace_beltrami(m, us[:, -1]),
+            "boundary_flux": G.boundary_flux(m, us),
+            "gradient_energy": np.stack(G.gradient_energy(m, us), axis=-1),
+            "integrate_interior": G.integrate_interior(m, us),
+            "integrate_boundary": G.integrate_boundary(m, us[:, -1]),
         }
-        for name, value in alone.items():
-            assert np.array_equal(per_cell[name][i], value), name
+        for i, u in enumerate(us):
+            alone = {
+                "laplacian": G.laplacian(m, u),
+                "laplace_beltrami": G.laplace_beltrami(m, u[-1]),
+                "boundary_flux": G.boundary_flux(m, u),
+                "gradient_energy": G.gradient_energy(m, u),
+                "integrate_interior": G.integrate_interior(m, u),
+                "integrate_boundary": G.integrate_boundary(m, u[-1]),
+            }
+            for name, value in alone.items():
+                assert bits(per_cell[name][i]) == bits(value), name
+
+
+@pytest.mark.parametrize("radii, n_r, exact", [
+    ((0.5, 1.0), 17, True), ((1.0, 1.0 + 2.0**-20), 17, True), ((1.0, 9.0), 5, True),
+    ((1.0, 2.7), 9, False), ((2.0**-1020, 2.0**-1019), 17, False),
+])
+def test_operators_keep_the_bits_of_edge_values(radii, n_r, exact):
+    """Multiplying by 1/dr where dr is a power of two (2^-5, 2^-24, 2) rounds
+    as dividing does, and the division stays elsewhere, also where dr = 2^-1024
+    has no finite reciprocal: subnormal differences, fluxes that overflow to
+    inf, signed zeros and nan come out as the roll formulas give them."""
+    m = build_annulus(*radii, n_r, 16)
+    assert (m._inv_dr is not None) == exact
+    rng = np.random.default_rng(n_r)
+    fields = [
+        rng.standard_normal((n_r, 16)) * 1e-310,  # subnormal values and differences
+        np.where(rng.random((n_r, 16)) < 0.5, 1.7e308, -1.7e308),  # differences overflow
+        rng.standard_normal((n_r, 16)) * 4e307,  # finite differences, fluxes past the range
+        np.where(rng.random((n_r, 16)) < 0.5, 0.0, -0.0),
+        np.where(rng.random((n_r, 16)) < 0.2, np.nan, rng.standard_normal((n_r, 16))),
+    ]
+    fields.append(np.choose(rng.integers(0, len(fields), (n_r, 16)), fields))  # all at once
+    with np.errstate(all="ignore"):
+        for u in fields:
+            assert bits(G.laplacian(m, u)) == bits(roll_laplacian(m, u))
+            assert bits(G.laplace_beltrami(m, u[-1])) == bits(roll_laplace_beltrami(m, u[-1]))
+            assert bits(G.gradient_energy(m, u)) == bits(roll_gradient_energy(m, u))
 
 
 def test_gradient_energy_ramp(mesh):
