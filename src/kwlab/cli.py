@@ -101,7 +101,9 @@ SCAN_MODES = ("ClassifyOnly", "ClassifyAndSimulate")
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """Two-axis parameter sweep around a base parameter record."""
+    """Two-axis parameter sweep around a base parameter record.  An axis's
+    steps is an integer >= 2 (an integral float is taken as its int), and
+    its bounds are finite."""
 
     base: ModelParams
     axis1: tuple[str, float, float, int]  # (field, lo, hi, steps)
@@ -110,14 +112,15 @@ class ScanSpec:
 
     def __post_init__(self):
         names = ModelParams.field_names()
-        for axis in (self.axis1, self.axis2):
-            name, lo, hi, steps = axis
+        for field in ("axis1", "axis2"):
+            name, lo, hi, steps = getattr(self, field)
             if name not in names:
                 raise ValueError(f"axis on a non-existent field {name!r}")
-            if steps < 2:
-                raise ValueError(f"axis steps must be >= 2, got {steps}")
-            if not hi >= lo:
-                raise ValueError(f"axis range is empty: [{lo}, {hi}]")
+            if isinstance(steps, bool) or not float(steps).is_integer() or steps < 2:
+                raise ValueError(f"axis steps must be an integer >= 2, got {steps!r}")
+            if not -math.inf < lo <= hi < math.inf:
+                raise ValueError(f"axis range must be finite and nonempty: [{lo}, {hi}]")
+            object.__setattr__(self, field, (name, lo, hi, int(steps)))
         if self.axis1[0] == self.axis2[0]:
             raise ValueError(f"axes must name distinct fields, both are {self.axis1[0]!r}")
         if self.mode not in SCAN_MODES:

@@ -72,7 +72,7 @@ def critical_exponents(N) -> CriticalExponents:
     """r(N) on the domain and r(N-1) on its boundary.
 
     Cached by N; the record is frozen, so callers share one instance."""
-    if N != int(N) or N < 2:
+    if not (2 <= N < math.inf and N == int(N)):
         raise ValueError(f"N must be an integer >= 2, got {N}")
     N = int(N)
     return CriticalExponents(_critical(N), _critical(N - 1))
@@ -80,15 +80,17 @@ def critical_exponents(N) -> CriticalExponents:
 
 def holder_conjugate(rho: float) -> float:
     """rho' with 1/rho + 1/rho' = 1; conjugate of +inf is 1."""
-    if math.isinf(rho):
+    if rho == math.inf:
         return 1.0
     if not rho > 1:
-        raise ValueError(f"conjugate undefined for rho <= 1, got {rho}")
+        raise ValueError(f"conjugate defined only for 1 < rho <= inf, got {rho}")
     return rho / (rho - 1.0)
 
 
 def bar(rho: float) -> float:
-    """max{2, rho}."""
+    """max{2, rho}; ValueError for nan, which max would drop."""
+    if rho != rho:
+        raise ValueError("bar undefined for nan")
     return max(2.0, float(rho))
 
 

@@ -28,8 +28,8 @@ with a closed form when every active damping exponent is 2.  An entry whose
 residual meets the tolerance is frozen; only the others shrink their bracket
 and move.  Each iteration takes |x| once, for both D and dD/dv, and evaluates
 them only on the band of rows that holds an unconverged entry of some cell;
-a row outside the band keeps the D of its frozen x.  v_next reuses the
-iteration's last evaluation of D(v_half).  Every kernel writes only into
+a row outside the band keeps the D of its frozen x.  Every damped kick
+returns D(v_half), which v_next reuses.  Every kernel writes only into
 arrays it (or for the kick, step) allocated: a + k*b is formed as k*b, then
 += a; IEEE + and * commute, so the bits are the same.
 
@@ -98,11 +98,11 @@ PROFILES = ("ramp", "sine", "bump")
 class StepFailure(RuntimeError):
     """The pointwise damping solve failed to converge; retry with smaller dt.
 
-    For a stack of cells, `cells` marks the cells that failed (one bool per
-    cell); it is None for a single cell.
+    `cells` marks the cells that failed: one bool per cell of a stack, a
+    single bool for one cell.
     """
 
-    def __init__(self, message: str, cells: np.ndarray | None = None):
+    def __init__(self, message: str, cells: np.ndarray | np.bool_):
         super().__init__(message)
         self.cells = cells
 
@@ -174,11 +174,9 @@ def negative_energy_data(
     try:
         while excess(hi) > 0:
             hi *= 2.0
-            if hi > 1e200:
-                raise ValueError("failed to bracket the negative-energy scale")
     except OverflowError:
-        # lam**p overflows before any sign change: the crossing, if it even
-        # exists, lies beyond float range, so there is no usable scale
+        # lam**p overflows (by hi = 2**512, as p >= 2) before any sign change:
+        # the crossing, if any, lies beyond float range: no usable scale
         raise ValueError("failed to bracket the negative-energy scale") from None
     lo, mid = 0.0, hi
     for _ in range(200):
@@ -217,8 +215,8 @@ def initial_state(mesh: AnnulusMesh, params: ModelParams, cfg: "SimConfig") -> S
 def _accel(mesh: AnnulusMesh, u: np.ndarray, plan: _Plan) -> np.ndarray:
     """Stiffness + source acceleration S(u) (damping excluded).
 
-    Interior rows: laplacian + f(u).  Free-circle row: the variational
-    boundary acceleration
+    Interior rows: laplacian + f(u); the pinned row keeps its +0.0.
+    Free-circle row: the variational boundary acceleration
         [-flux + (dr/2) f(u) + g(u)] / (1 + dr/2) + laplace_beltrami(u),
     in which the (dr/2)-weighted terms are the interior contributions of the
     outermost half cell and the row mass is r dtheta (1 + dr/2).
@@ -239,7 +237,6 @@ def _accel(mesh: AnnulusMesh, u: np.ndarray, plan: _Plan) -> np.ndarray:
     acc[..., -1, :] = boundary / (1.0 + half) + geometry.laplace_beltrami(
         mesh, u[..., -1, :]
     )
-    acc[..., 0, :] = 0.0
     return acc
 
 
@@ -282,10 +279,10 @@ def _solve_damped_kick(
     would bisect it away, and because they stay put no cell of a stack
     depends on another.  Each iteration takes |x| once for D and dD/dv, and
     evaluates them only on the band of rows that holds an unconverged entry
-    of some cell; the rows outside are frozen and keep their D.  D(x) is the
-    last residual's, or None when the kick evaluated none (closed form, no
-    damping).  b is the caller's scratch: without damping x is b itself, and
-    the closed form overwrites b with x.
+    of some cell; the rows outside are frozen and keep their D.  D(x) is
+    Newton's last or the closed form's one evaluation, None only without
+    damping.  The kick may overwrite b: without damping x is b itself, and
+    the closed form overwrites b with x.  StepFailure marks the failed cells.
     """
     if not plan.damped:
         return b, None
@@ -296,7 +293,7 @@ def _solve_damped_kick(
         c_row = (half * c_int + c_q) / (1.0 + half)
         b[..., :-1, :] /= 1.0 + kappa * c_int
         b[..., -1:, :] /= 1.0 + kappa * c_row
-        return b, None
+        return b, _damping_accel(mesh, b, plan)
 
     lo, hi = np.minimum(b, 0.0), np.maximum(b, 0.0)
     x = b.copy()
@@ -353,7 +350,7 @@ def _solve_damped_kick(
     raise StepFailure(
         f"damping solve did not converge: {np.count_nonzero(unconverged)} of "
         f"{resid.size} entries above tolerance, worst residual {np.max(resid):.3e}",
-        cells=unconverged.any(axis=(-2, -1)) if unconverged.ndim == 3 else None,
+        unconverged.any(axis=(-2, -1)),
     )
 
 
@@ -367,11 +364,11 @@ def step(
     """One kick-drift-kick step of size dt.
 
     u and v share one shape, (n_r, n_theta) or a stack (n_cells, n_r,
-    n_theta).  dt is a float or, on a stack, one value per cell, like state.t.
-    s_u is S(state.u) if the caller already has it, else None.  Returns a
-    fresh State and S of its u, which the next step can take as its s_u.
-    Neither s_u nor the state is modified.  params is a ModelParams, whose
-    cached plan is read, or a stack's plan (model._Plan).
+    n_theta); dt is a float or one value per cell, like state.t.  s_u is
+    S(state.u) if the caller has it, else None.  params is a ModelParams or a
+    stack's plan (model._Plan).  Returns a fresh State, +0.0 on row 0, and S
+    of its u, the next step's s_u; s_u and the state are not modified.  A
+    failed damping kick raises StepFailure, naming its cells.
     """
     state = functionals._check_state(mesh, state)
     if isinstance(dt, np.ndarray):
@@ -390,7 +387,7 @@ def step(
         s_u = _accel(mesh, state.u, plan)
     b = kappa * s_u
     b += state.v
-    b[..., 0, :] = 0.0
+    b[..., 0, :] = 0.0  # so v_half, D(v_half) and v_new are +0.0 there
     v_half, d_half = _solve_damped_kick(mesh, b, kappa, plan)
     u_new = dt_grid * v_half
     u_new += state.u
@@ -399,11 +396,8 @@ def step(
     v_new = kappa * s_new
     v_new += v_half
     if plan.damped:
-        if d_half is None:
-            d_half = _damping_accel(mesh, v_half, plan)
         d_half *= kappa
         v_new -= d_half
-    v_new[..., 0, :] = 0.0
     return State(u=u_new, v=v_new, t=state.t + dt), s_new
 
 
@@ -671,8 +665,7 @@ def _run_stack(
             try:
                 cand, s_cand = step(mesh, State(u, v, t), plan, gather(dt), s_u)
             except StepFailure as exc:
-                failed = [True] if exc.cells is None else exc.cells
-                for c, dt_i, fail, u_i, v_i in zip(live, dt, failed, split(u), split(v)):
+                for c, dt_i, fail, u_i, v_i in zip(live, dt, split(exc.cells), split(u), split(v)):
                     if fail:
                         c.reject(State(u_i, v_i, c.t), "DtFloor", c.t + dt_i)
                 continue  # the cells the failed solve spared retry the same step

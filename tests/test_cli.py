@@ -118,6 +118,10 @@ def test_classify_params_file_errors(tmp_path, capsys):
     assert cli.main(["classify", "--params-file", str(tmp_path / "nope.json")]) == 2
     f.write_text("{not json")
     assert cli.main(["classify", "--params-file", str(f)]) == 2
+    capsys.readouterr()
+    f.write_text("[1, 2]")
+    assert cli.main(["classify", "--params-file", str(f)]) == 2
+    assert "params file must contain a JSON object" in capsys.readouterr().err
 
 
 def test_classify_invalid_parameters_exit_2(capsys):
@@ -506,6 +510,28 @@ def test_scan_spec_direct_construction():
         cli.ScanSpec(base, ("p", 2, 4, 2), ("p", 2, 4, 2))
     with pytest.raises(ValueError, match="unknown scan mode"):
         cli.ScanSpec(base, ("p", 2, 4, 2), ("q", 2, 4, 2), mode="Both")
+
+
+@pytest.mark.parametrize("axis, message", [
+    (("p", 3.0, 4.0, 2.5), "integer >= 2"),
+    (("p", 3.0, 4.0, math.nan), "integer >= 2"),
+    (("p", 3.0, 4.0, True), "integer >= 2"),
+    (("p", 3.0, math.inf, 2), "finite"),
+    (("p", -math.inf, 4.0, 2), "finite"),
+    (("p", math.nan, 4.0, 2), "finite"),
+])
+def test_scan_spec_refuses_axes_run_scan_cannot_run(axis, message):
+    """A fractional or nan steps used to construct and then fail in
+    run_scan with a TypeError, and an infinite bound built nan cells."""
+    with pytest.raises(ValueError, match=message):
+        cli.ScanSpec(ModelParams(gamma=1.0, p=4), axis, ("m", 2.0, 3.0, 2))
+
+
+def test_scan_spec_takes_an_integral_float_steps_as_int(tmp_path):
+    spec = cli.ScanSpec(ModelParams(gamma=1.0, p=4), ("p", 3.0, 4.0, 4.0), ("m", 2, 3, 2))
+    assert spec.axis1 == ("p", 3.0, 4.0, 4) and type(spec.axis1[3]) is int
+    rows = cli.run_scan(spec, tmp_path / "grid.csv").read_text().splitlines()
+    assert len(rows) == 1 + 4 * 2
 
 
 def test_axis_endpoints_are_exact():

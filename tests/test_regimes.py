@@ -42,7 +42,7 @@ def test_exponent_inequality_chain():
         assert ce.r_gamma >= 1.0 + ce.r_omega / 2.0
 
 
-@pytest.mark.parametrize("bad", [1, 1.5, 2.5, 0, -3])
+@pytest.mark.parametrize("bad", [1, 1.5, 2.5, 0, -3, INF, math.nan])
 def test_dimension_validation(bad):
     with pytest.raises(ValueError):
         critical_exponents(bad)
@@ -64,13 +64,18 @@ def test_holder_conjugate(rho, conj):
 
 
 def test_holder_conjugate_domain():
-    with pytest.raises(ValueError):
-        holder_conjugate(1.0)
+    for rho in (1.0, -INF, math.nan):
+        with pytest.raises(ValueError):
+            holder_conjugate(rho)
 
 
-@pytest.mark.parametrize("rho, want", [(1.5, 2.0), (2.0, 2.0), (3.7, 3.7)])
+@pytest.mark.parametrize("rho, want", [(1.5, 2.0), (2.0, 2.0), (3.7, 3.7), (math.nan, None)])
 def test_bar(rho, want):
-    assert bar(rho) == want
+    if want is None:  # max(2, nan) would return 2
+        with pytest.raises(ValueError, match="nan"):
+            bar(rho)
+    else:
+        assert bar(rho) == want
 
 
 # ---------------------------------------------------------------------------

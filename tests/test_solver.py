@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from kwlab import functionals, model, solver
+from kwlab import functionals, geometry, model, solver
 from kwlab.functionals import State, dissipation_rate, make_report
 from kwlab.geometry import build_annulus
 from kwlab.model import ModelParams
@@ -156,6 +156,40 @@ def test_step_preserves_pinned_row(mesh):
         st, _ = step(mesh, st, par, 0.005)
         assert np.all(st.u[0] == 0.0)
         assert np.all(st.v[0] == 0.0)
+    # from nonzero pinned rows, on every kick branch, for one cell and a
+    # stack: step zeroes row 0 of b and u_new, which makes v_half, S(u_new)
+    # and D(v_half) +0.0 there, so both rows come out +0.0 bit for bit
+    for records in KICK_STACKS.values():
+        for params, dt, t, shape in ((records[0], 0.005, 0.0, (33, 32)),
+                                     (model._Plan(records), np.array([0.005, 0.0025, 0.01]),
+                                      np.zeros(3), (3, 33, 32))):
+            st = State(rng.standard_normal(shape), rng.standard_normal(shape), t)
+            for _ in range(3):
+                st, _ = step(mesh, st, params, dt)
+                for row in (st.u[..., 0, :], st.v[..., 0, :]):
+                    assert row.tobytes() == np.zeros_like(row).tobytes()
+
+
+@pytest.mark.parametrize("n_r", [17, 33, 129])
+@pytest.mark.parametrize("r_outer", [2.0, 2.7])
+def test_damping_accel_carries_the_dissipation_rate(n_r, r_outer):
+    """Under the energy's weights <D(v), v> is the dissipation rate: the
+    free row's mass, its interior half cell r dtheta dr/2 plus its circle
+    weight r dtheta, times D's ((dr/2) P + Q) / (1 + dr/2) gives back the
+    half cell's P v and the circle's Q v.  On r_outer 2.7, dr is not a
+    power of two."""
+    mesh = build_annulus(1.0, r_outer, n_r, n_r - 1)
+    rng = np.random.default_rng(n_r)
+    v = rng.standard_normal((mesh.n_r, mesh.n_theta))
+    v[0] = 0.0
+    for par in (ModelParams(alpha=1.0, beta=0.5),
+                ModelParams(alpha=1.0, m=4, a=1.0, m_tilde=1.5, beta=0.5, mu=3),
+                ModelParams(beta=1.0, b=0.5, mu=3.0, mu_tilde=1.5)):
+        d = solver._damping_accel(mesh, v, par._plan)
+        ledger = (geometry.integrate_interior(mesh, d * v)
+                  + geometry.integrate_boundary(mesh, d[-1] * v[-1]))
+        rate = dissipation_rate(mesh, State(np.zeros_like(v), v), par)
+        assert ledger == pytest.approx(rate, rel=1e-13, abs=0.0)
 
 
 def test_step_undamped_energy_drift_is_quadratic(mesh):
@@ -330,7 +364,7 @@ def test_damped_kick_matches_the_reference_loop_bitwise(monkeypatch, case, ndim,
     assert most >= longest
 
 
-@pytest.mark.parametrize("case, cells", [("m4_mt1.5", None), ("stack", [False, True, False])])
+@pytest.mark.parametrize("case, cells", [("m4_mt1.5", True), ("stack", [False, True, False])])
 def test_damped_kick_fails_on_overflow_like_the_reference_loop(monkeypatch, case, cells):
     """An entry whose D overflows fails the kick with the reference loop's
     message, and no overflow warning leaks out of the kick."""
@@ -342,7 +376,7 @@ def test_damped_kick_fails_on_overflow_like_the_reference_loop(monkeypatch, case
         ref_failure, _ = counted_kick(monkeypatch, reference_kick, mesh, b, kappa, plan)
     assert isinstance(failure, StepFailure) and isinstance(ref_failure, StepFailure)
     assert str(failure) == str(ref_failure)
-    assert (None if failure.cells is None else failure.cells.tolist()) == cells
+    assert failure.cells.tolist() == cells
 
 
 def test_damped_kick_evaluates_only_the_rows_still_moving(monkeypatch):
@@ -367,13 +401,13 @@ def test_damped_kick_evaluates_only_the_rows_still_moving(monkeypatch):
     [
         (ModelParams(alpha=1.0, m=4, a=1.0, m_tilde=1.5, gamma=1.0, p=3), 0),
         (ModelParams(beta=1.0, mu=3, gamma=1.0, p=3), 0),
-        (ModelParams(alpha=1.0, beta=1.0, gamma=1.0, p=3), 1),
+        (ModelParams(alpha=1.0, beta=1.0, gamma=1.0, p=3), 0),
     ],
 )
 def test_step_reuses_the_kicks_damping_evaluation(monkeypatch, par, outside):
-    """The Newton kick hands its last D(v_half) to v_next, so a step
-    evaluates D only inside the kick; the closed-form kick evaluates none,
-    and v_next then evaluates it once."""
+    """Every damped kick hands its D(v_half) to v_next: Newton its last
+    evaluation, the closed form its one.  A step evaluates D only inside
+    the kick."""
     counts = {"inside": False, "outside": 0, "steps": 0}
     kick, damping, step_fn = solver._solve_damped_kick, solver._damping_accel, solver.step
 
@@ -410,7 +444,7 @@ def test_dt_regrows_after_64_clean_steps(monkeypatch):
     def failing_once(*args):
         if not failures:
             failures.append(1)
-            raise StepFailure("injected")
+            raise StepFailure("injected", np.True_)
         return kick(*args)
 
     def recorded_step(mesh, state, params, dt, s_u=None):
@@ -466,7 +500,7 @@ def test_damped_kick_failure_marks_only_failed_cells(mesh):
     assert failure.value.cells.tolist() == [False, True, False]
     with pytest.raises(StepFailure) as failure:
         solver._solve_damped_kick(mesh, b[1], 0.01, par)
-    assert failure.value.cells is None
+    assert failure.value.cells is np.True_
 
 
 def test_damped_kick_failure_names_residual(mesh):
@@ -676,6 +710,7 @@ def test_config_round_trips_through_its_stored_fields(kwargs):
             "unknown initial_data keys",
         ),
         ({"params": {"p": 4}, "tend": 3.0}, "unknown config keys"),
+        ({"params": {"p": 4}, "mesh": [17, 16]}, "'mesh' must be an object"),
     ],
 )
 def test_config_from_dict_rejects_unknown_keys(doc, pattern):
