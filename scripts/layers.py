@@ -1,4 +1,4 @@
-"""Best-of-N time per call of the kernels that make up a step, by mesh size.
+"""Best-of-N time per call of a step's kernels, by mesh size, and of the scalar layers.
 
     python3 scripts/layers.py [--repeat 7] [--number 100]
 
@@ -22,10 +22,19 @@ pass over every kernel runs first, so the first column pays no warm-up.
                                                  norms are evaluated
   step                                           one step, S(u) passed in
   make_report                                    one cell only ("-" on the stack)
+
+A second table times the scalar layers of the theory workload, untraced, on
+one fixed record in the ranges acceptance c09 draws from (N = 5, every weight
+on) and one comparison-ODE query (l = 2.5, c = 2, psi0 = 2.5, threshold 1e6).
+ModelParams(**rec), RegimeVerdict(...) and classify take microseconds, so
+they run 100 * NUMBER times per repeat; blowup_time and integrate_comparison
+take milliseconds and run max(1, NUMBER // 10) times.  The calls column gives
+the count; the least of REPEAT repeats is printed in microseconds per call.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import timeit
 from pathlib import Path
@@ -35,13 +44,16 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from kwlab import functionals, geometry, model, solver  # noqa: E402
+from kwlab import functionals, geometry, model, oracle, regimes, solver  # noqa: E402
 from kwlab.functionals import State, make_report  # noqa: E402
 from kwlab.model import ModelParams  # noqa: E402
 
 PARAMS = ModelParams(gamma=1.0, p=4.0, alpha=1.0, m=2.0)
 GRIDS = [(17, 16), (33, 32), (65, 64), (129, 128)]
 STACK = 16
+RECORD = dict(N=5, a=0.6, b=0.3, alpha=1.2, beta=0.8, gamma=1.5, delta=0.4, m=3.1, mu=4.2,
+              m_tilde=1.5, mu_tilde=1.7, p=3.3, q=4.4)
+QUERY = oracle.OdeProblem(l=2.5, c=2.0, psi0=2.5)
 
 
 def case(n_r, n_theta, cells):
@@ -110,6 +122,28 @@ def main(argv=None):
     for name, row in table.items():
         cells = (f"{row[label]:12.1f}" if label in row else f"{'-':>12}" for label in labels)
         print(f"{name:<{width}}" + "".join(cells))
+    print()
+    scalar_table(args.repeat, args.number)
+
+
+def scalar_table(repeat, number):
+    """The theory workload's scalar layers, untraced (see the module docstring)."""
+    par = ModelParams(**RECORD)
+    fields = dataclasses.astuple(regimes.classify(par))
+    rows = [
+        ("ModelParams(**rec)", 100 * number, lambda: ModelParams(**RECORD)),
+        ("RegimeVerdict(...)", 100 * number, lambda: regimes.RegimeVerdict(*fields)),
+        ("classify", 100 * number, lambda: regimes.classify(par)),
+        ("blowup_time", max(1, number // 10), lambda: oracle.blowup_time(QUERY)),
+        ("integrate_comparison", max(1, number // 10),
+         lambda: oracle.integrate_comparison(QUERY, 1e6)),
+    ]
+    print(f"scalar layers, untraced: best of {repeat}, us per call")
+    print(f"{'':<20}{'calls':>12}{'us':>12}")
+    for name, calls, call in rows:
+        timeit.repeat(call, repeat=1, number=calls)
+        best = min(timeit.repeat(call, repeat=repeat, number=calls))
+        print(f"{name:<20}{calls:12d}{1e6 * best / calls:12.2f}")
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ import numpy as np
 __all__ = ["ModelParams"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModelParams:
     """Parameter record; constraints are validated at construction.
 
@@ -47,48 +47,48 @@ class ModelParams:
     m_tilde / mu_tilde default to min(2, m) / min(2, mu).
     """
 
-    N: int = 2
-    a: float = 0.0
-    b: float = 0.0
-    alpha: float = 0.0
-    beta: float = 0.0
-    gamma: float = 0.0
-    delta: float = 0.0
-    m: float = 2.0
-    mu: float = 2.0
-    m_tilde: float | None = None
-    mu_tilde: float | None = None
-    p: float = 2.0
-    q: float = 2.0
+    N: int
+    a: float
+    b: float
+    alpha: float
+    beta: float
+    gamma: float
+    delta: float
+    m: float
+    mu: float
+    m_tilde: float
+    mu_tilde: float
+    p: float
+    q: float
 
-    def __post_init__(self):
-        if not (2 <= self.N < math.inf and self.N == int(self.N)):
-            raise ValueError(f"N must be an integer >= 2, got {self.N}")
-        object.__setattr__(self, "N", int(self.N))
-        for name in ("a", "b", "alpha", "beta", "gamma", "delta"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"constraint violated: 0 <= {name} < inf "
-                                 f"(got {getattr(self, name)})")
-        if self.m_tilde is None:
-            object.__setattr__(self, "m_tilde", self.default_tilde(self.m))
-        if self.mu_tilde is None:
-            object.__setattr__(self, "mu_tilde", self.default_tilde(self.mu))
-        for name in ("m", "mu", "m_tilde", "mu_tilde", "p", "q"):
-            value = getattr(self, name)
-            if type(value) is not float:  # not isinstance: np.float64 is a float subclass
-                object.__setattr__(self, name, float(value))
-        if not 1.0 < self.m_tilde <= self.m < math.inf:
+    def __init__(self, N=2, a=0.0, b=0.0, alpha=0.0, beta=0.0, gamma=0.0, delta=0.0,
+                 m=2.0, mu=2.0, m_tilde=None, mu_tilde=None, p=2.0, q=2.0):
+        # checked on the arguments, then stored in one write past the frozen __setattr__
+        if not (2 <= N < math.inf and N == int(N)):
+            raise ValueError(f"N must be an integer >= 2, got {N}")
+        weights = (a, b, alpha, beta, gamma, delta)
+        for value in weights:
+            if not 0 <= value < math.inf:  # an equal earlier weight would have failed first
+                name = ("a", "b", "alpha", "beta", "gamma", "delta")[weights.index(value)]
+                raise ValueError(f"constraint violated: 0 <= {name} < inf (got {value})")
+        # exact floats: np.float64 is a float subclass with another repr
+        m, mu = float(m), float(mu)
+        m_tilde = self.default_tilde(m) if m_tilde is None else float(m_tilde)
+        mu_tilde = self.default_tilde(mu) if mu_tilde is None else float(mu_tilde)
+        p, q = float(p), float(q)
+        if not 1.0 < m_tilde <= m < math.inf:
             raise ValueError(
-                f"constraint violated: 1 < m_tilde <= m < inf "
-                f"(m_tilde={self.m_tilde}, m={self.m})")
-        if not 1.0 < self.mu_tilde <= self.mu < math.inf:
+                f"constraint violated: 1 < m_tilde <= m < inf (m_tilde={m_tilde}, m={m})")
+        if not 1.0 < mu_tilde <= mu < math.inf:
             raise ValueError(
-                f"constraint violated: 1 < mu_tilde <= mu < inf "
-                f"(mu_tilde={self.mu_tilde}, mu={self.mu})")
-        if not 2 <= self.p < math.inf:
-            raise ValueError(f"constraint violated: 2 <= p < inf (got {self.p})")
-        if not 2 <= self.q < math.inf:
-            raise ValueError(f"constraint violated: 2 <= q < inf (got {self.q})")
+                f"constraint violated: 1 < mu_tilde <= mu < inf (mu_tilde={mu_tilde}, mu={mu})")
+        if not 2 <= p < math.inf:
+            raise ValueError(f"constraint violated: 2 <= p < inf (got {p})")
+        if not 2 <= q < math.inf:
+            raise ValueError(f"constraint violated: 2 <= q < inf (got {q})")
+        self.__dict__.update(N=int(N), a=a, b=b, alpha=alpha, beta=beta, gamma=gamma,
+                             delta=delta, m=m, mu=mu, m_tilde=m_tilde, mu_tilde=mu_tilde,
+                             p=p, q=q)
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:

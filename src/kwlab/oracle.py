@@ -52,8 +52,8 @@ _TOL = 1e-10  # absolute tolerance on T_m
 
 @dataclass(frozen=True)
 class OdeProblem:
-    """y' = |y|^l - c with y(0) = psi0; requires finite l > 1, c >= 0 and a
-    finite psi0 > c^(1/l) (strict)."""
+    """y' = |y|^l - c with y(0) = psi0; requires finite l > 1, a finite
+    c >= 0 and a finite psi0 > c^(1/l) (strict)."""
 
     l: float
     c: float
@@ -62,8 +62,8 @@ class OdeProblem:
     def __post_init__(self):
         if not 1 < self.l < math.inf:
             raise ValueError(f"l must exceed 1 and be finite, got {self.l}")
-        if not self.c >= 0:
-            raise ValueError(f"c must be nonnegative, got {self.c}")
+        if not 0 <= self.c < math.inf:
+            raise ValueError(f"c must be nonnegative and finite, got {self.c}")
         if not math.isfinite(self.psi0):
             raise ValueError(f"psi0 must be finite, got {self.psi0}")
         if not self.psi0 > self.c ** (1.0 / self.l):

@@ -29,8 +29,9 @@ output contract:
     (1.24bis)  two sources beat the dampings
     Theorem 1.1 / 1.2 / 1.3 / 1.4  the result consuming the condition
 
-All comparisons use the exact <= / < of the conditions; ties land on the
-side the condition prints.
+Comparisons are made in floats, so a record on a bound may land on either
+side: at N = 5, p = 3.5, m = 4, alpha = gamma = 1, (1.11)'s 1 + r/d' = 3.5 rounds
+to 3.5000000000000004, and GlobalForAllData is printed, not Undetermined.
 """
 from __future__ import annotations
 
@@ -94,7 +95,7 @@ def bar(rho: float) -> float:
     return max(2.0, float(rho))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RegimeVerdict:
     """classify's answer; the field order is the classify line's key order."""
 
@@ -106,6 +107,15 @@ class RegimeVerdict:
     blowup_interior: bool
     blowup_two_sources: bool
     blowup_linear_damping: bool
+
+    def __init__(self, conclusion, fired, wellposed, uniqueness_extra, global_existence,
+                 blowup_interior, blowup_two_sources, blowup_linear_damping):
+        # one write past the frozen __setattr__
+        self.__dict__.update(
+            conclusion=conclusion, fired=fired, wellposed=wellposed,
+            uniqueness_extra=uniqueness_extra, global_existence=global_existence,
+            blowup_interior=blowup_interior, blowup_two_sources=blowup_two_sources,
+            blowup_linear_damping=blowup_linear_damping)
 
 
 def classify(params) -> RegimeVerdict:
@@ -160,5 +170,5 @@ def classify(params) -> RegimeVerdict:
     if note:
         fired += "; (1.12) data condition applies"
 
-    # positional, in field order: a frozen dataclass's keyword call is dearer
+    # positional, in field order: cheaper than keywords
     return RegimeVerdict(conclusion, fired, wellposed, uniqueness, glob, b_int, b_two, b_lin)

@@ -1,12 +1,17 @@
 """Parameter record validation and the pointwise nonlinearities, evaluated
 through the record's plan (P, Q, f, g and the derivative P.prime)."""
+import copy
+import dataclasses
+import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kwlab import model
 from kwlab.model import ModelParams, _Plan
 
 
@@ -88,6 +93,169 @@ def test_N_normalizes_to_int_and_equal_records_hash_alike():
     a, b = ModelParams(p=3), ModelParams(p=3.0)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert repr(ModelParams(p=np.float64(3.0))) == repr(b)
+
+
+@dataclasses.dataclass(frozen=True)
+class _ReferenceParams:
+    """ModelParams as it was when the generated dataclass __init__ stored every
+    field and __post_init__ checked them and rewrote N and the exponents."""
+
+    N: int = 2
+    a: float = 0.0
+    b: float = 0.0
+    alpha: float = 0.0
+    beta: float = 0.0
+    gamma: float = 0.0
+    delta: float = 0.0
+    m: float = 2.0
+    mu: float = 2.0
+    m_tilde: float | None = None
+    mu_tilde: float | None = None
+    p: float = 2.0
+    q: float = 2.0
+
+    def __post_init__(self):
+        if not (2 <= self.N < math.inf and self.N == int(self.N)):
+            raise ValueError(f"N must be an integer >= 2, got {self.N}")
+        object.__setattr__(self, "N", int(self.N))
+        for name in ("a", "b", "alpha", "beta", "gamma", "delta"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"constraint violated: 0 <= {name} < inf "
+                                 f"(got {getattr(self, name)})")
+        if self.m_tilde is None:
+            object.__setattr__(self, "m_tilde", min(2.0, float(self.m)))
+        if self.mu_tilde is None:
+            object.__setattr__(self, "mu_tilde", min(2.0, float(self.mu)))
+        for name in EXPONENTS:
+            value = getattr(self, name)
+            if type(value) is not float:
+                object.__setattr__(self, name, float(value))
+        if not 1.0 < self.m_tilde <= self.m < math.inf:
+            raise ValueError(
+                f"constraint violated: 1 < m_tilde <= m < inf "
+                f"(m_tilde={self.m_tilde}, m={self.m})")
+        if not 1.0 < self.mu_tilde <= self.mu < math.inf:
+            raise ValueError(
+                f"constraint violated: 1 < mu_tilde <= mu < inf "
+                f"(mu_tilde={self.mu_tilde}, mu={self.mu})")
+        if not 2 <= self.p < math.inf:
+            raise ValueError(f"constraint violated: 2 <= p < inf (got {self.p})")
+        if not 2 <= self.q < math.inf:
+            raise ValueError(f"constraint violated: 2 <= q < inf (got {self.q})")
+
+
+def reference_params(*args, **kw):
+    """The reference constructor's stored fields, each as (type, repr) so that
+    -0.0 and np.float64 are told apart, or (exception type, message)."""
+    return _outcome(_ReferenceParams, args, kw)
+
+
+def _outcome(cls, args, kw):
+    try:
+        record = cls(*args, **kw)
+    except Exception as exc:  # the exception itself is compared
+        return type(exc), str(exc)
+    return [(type(v), repr(v)) for v in (getattr(record, f) for f in ModelParams.field_names())]
+
+
+WEIGHTS = ("a", "b", "alpha", "beta", "gamma", "delta")
+
+
+def _c09_draws(n, seed):
+    """n records drawn as acceptance c09 draws them, vectorized; every fourth
+    leaves its tildes unset, and every third has np.float64 fields."""
+    rng = np.random.default_rng(seed)
+    m, mu = rng.uniform(2.0, 6.0, n), rng.uniform(2.0, 6.0, n)
+    cols = {"N": rng.integers(2, 8, n), "m": m, "mu": mu,
+            "m_tilde": rng.uniform(1.1, np.minimum(2.0, m)),
+            "mu_tilde": rng.uniform(1.1, np.minimum(2.0, mu)),
+            "p": rng.uniform(2.0, 7.0, n), "q": rng.uniform(2.0, 7.0, n)}
+    for w in WEIGHTS:
+        cols[w] = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, n))
+    lists = {k: v.tolist() for k, v in cols.items()}
+    for i in range(n):
+        rec = {k: (cols[k][i] if i % 3 == 0 else v[i]) for k, v in lists.items()}
+        if i % 4 == 0:
+            del rec["m_tilde"], rec["mu_tilde"]
+        yield rec
+
+
+def _edge_records():
+    yield from ({}, {"N": np.int64(3)}, {"N": 3.0}, {"N": 2.5}, {"N": 1}, {"N": True},
+                {"m": 3, "mu": np.float64(2.5), "p": 4, "q": np.float64(3.0)},
+                {"m": 1.5, "mu": np.int64(3)}, {"m": 3.0, "m_tilde": None, "mu_tilde": None},
+                {"m": 3.0, "m_tilde": 3.5}, {"mu": 2.0, "mu_tilde": 2.5},
+                {"m": 1.5, "m_tilde": 1.5}, {"a": np.float64(0.5), "gamma": 1},
+                {"alpha": -0.0, "beta": np.int64(2)})
+    for name in ModelParams.field_names():
+        for value in (math.nan, math.inf, -math.inf, -1.0, np.float64(math.nan)):
+            yield {name: value}
+    # two invalid fields at once: the first check to fail is the one reported
+    bad = (math.nan, math.inf, -1.0)
+    for (f1, f2), (v1, v2) in itertools.product(
+            itertools.combinations(ModelParams.field_names(), 2), itertools.product(bad, bad)):
+        yield {f1: v1, f2: v2}
+    yield {"N": 1, "a": -1.0, "m": 0.5, "p": 1.0}
+    yield {"m": 3.0, "m_tilde": 3.5, "mu": 2.0, "mu_tilde": 2.5, "p": 1.0, "q": 1.0}
+
+
+def test_constructor_matches_the_reference_on_draws_and_edges():
+    records = itertools.chain(_c09_draws(20_000, 2501), _edge_records())
+    n = 0
+    for rec in records:
+        assert _outcome(ModelParams, (), rec) == reference_params(**rec), rec
+        n += 1
+    assert n == 20_000 + 783
+    # positional calls bind the same fields in the same order
+    args = (3, 0.5, 0.0, 1.0, 0.0, 1.0, 0.0, 3, 2.5, None, 1.5, 4, np.float64(2.0))
+    assert _outcome(ModelParams, args, {}) == reference_params(*args)
+    assert _outcome(ModelParams, args[:8] + (0.5,), {}) == reference_params(*args[:8], 0.5)
+
+
+def test_record_contract():
+    kw = dict(N=3, a=0.5, alpha=1.0, gamma=1.0, m=3, p=4.0, mu_tilde=1.5)
+    par = ModelParams(**kw)
+    assert repr(par) == (
+        "ModelParams(N=3, a=0.5, b=0.0, alpha=1.0, beta=0.0, gamma=1.0, delta=0.0, "
+        "m=3.0, mu=2.0, m_tilde=2.0, mu_tilde=1.5, p=4.0, q=2.0)")
+    names = ModelParams.field_names()
+    assert tuple(f.name for f in dataclasses.fields(ModelParams)) == names
+    assert names == ("N", "a", "b", "alpha", "beta", "gamma", "delta", "m", "mu",
+                     "m_tilde", "mu_tilde", "p", "q")
+    positional = ModelParams(*(getattr(par, n) for n in names))
+    replaced = dataclasses.replace(ModelParams(), **kw)
+    for other in (positional, replaced, copy.copy(par), pickle.loads(pickle.dumps(par)),
+                  ModelParams.from_dict(dataclasses.asdict(par))):
+        assert other == par and hash(other) == hash(par) and repr(other) == repr(par)
+    assert dataclasses.replace(par, p=5.0) != par
+    assert dataclasses.replace(par, p=5.0).p == 5.0
+    with pytest.raises(ValueError, match="2 <= p"):
+        dataclasses.replace(par, p=1.0)
+    for name in ("p", "N", "zeta"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(par, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(par, name)
+    assert par.p == 4.0
+
+
+def test_plan_is_built_once_per_record(monkeypatch):
+    built = []
+
+    def counting_plan(records):
+        built.append(records)
+        return _Plan(records)
+
+    monkeypatch.setattr(model, "_Plan", counting_plan)
+    par = ModelParams(gamma=1.0, p=4)
+    assert built == []  # construction builds no plan
+    plan = par._plan
+    assert par._plan is plan and built == [[par]]
+    # a built plan does not enter ==, hash or repr, and copies carry it along
+    fresh = ModelParams(gamma=1.0, p=4)
+    assert fresh == par and hash(fresh) == hash(par) and repr(fresh) == repr(par)
+    assert copy.copy(par)._plan is plan and len(built) == 1
+    assert fresh._plan is not plan and len(built) == 2
 
 
 # ---------------------------------------------------------------------------

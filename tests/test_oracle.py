@@ -51,6 +51,10 @@ def test_problem_validation():
     for psi0 in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="psi0 must be finite"):
             OdeProblem(l=2.0, c=0.0, psi0=psi0)
+    # an infinite c is refused as such, not as a violated hypothesis on psi0
+    for c in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="c must be nonnegative and finite"):
+            OdeProblem(l=2.0, c=c, psi0=2.0)
 
 
 def test_integrate_validation():

@@ -4,13 +4,18 @@ The fixture grid walks the four source classes (no source / boundary only /
 interior only / both) against linear and nonlinear damping, including the
 cells where the theory gives no answer.
 """
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from kwlab.model import ModelParams
-from kwlab.regimes import VERDICTS, bar, classify, critical_exponents, holder_conjugate
+from kwlab.regimes import (
+    VERDICTS, RegimeVerdict, bar, classify, critical_exponents, holder_conjugate,
+)
 
 INF = float("inf")
 
@@ -251,6 +256,39 @@ def test_two_source_label_wins_over_linear_damping():
                              alpha=1.0, beta=1.0, m=2, mu=2))
     assert v.blowup_two_sources and v.blowup_linear_damping
     assert v.fired == "(1.24bis)/Theorem 1.4"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: ties are compared in floats")
+def test_growth_bound_tie_is_undetermined():
+    # r(5) = 10/3 and d = 4 > r, so (1.11) asks p < 1 + r/d' = 3.5, false at
+    # p = 3.5; in floats the bound rounds to 3.5000000000000004
+    v = classify(ModelParams(N=5, gamma=1.0, p=3.5, alpha=1.0, m=4))
+    assert (v.conclusion, v.fired) == ("Undetermined", "none")
+
+
+def test_verdict_record_contract():
+    v = classify(ModelParams(N=3, gamma=1.0, p=4, alpha=1.0, m=2))
+    fields = ("conclusion", "fired", "wellposed", "uniqueness_extra", "global_existence",
+              "blowup_interior", "blowup_two_sources", "blowup_linear_damping")
+    # the classify line prints asdict's keys in this order
+    assert tuple(dataclasses.asdict(v)) == fields
+    assert tuple(f.name for f in dataclasses.fields(RegimeVerdict)) == fields
+    assert repr(v) == (
+        "RegimeVerdict(conclusion='BlowsUpForNegativeEnergy', fired='(1.21)/Theorem 1.3', "
+        "wellposed=True, uniqueness_extra=True, global_existence=False, "
+        "blowup_interior=True, blowup_two_sources=False, blowup_linear_damping=True)")
+    values = [getattr(v, f) for f in fields]
+    keyword = RegimeVerdict(**dict(zip(fields, values)))
+    for other in (RegimeVerdict(*values), keyword, dataclasses.replace(v),
+                  copy.copy(v), pickle.loads(pickle.dumps(v))):
+        assert other == v and hash(other) == hash(v) and repr(other) == repr(v)
+    assert dataclasses.replace(v, fired="none") != v
+    for name in ("fired", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, "none")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(v, name)
+    assert v.fired == "(1.21)/Theorem 1.3"
 
 
 def test_outside_short_circuits():
