@@ -103,7 +103,8 @@ SCAN_MODES = ("ClassifyOnly", "ClassifyAndSimulate")
 class ScanSpec:
     """Two-axis parameter sweep around a base parameter record.  An axis's
     steps is an integer >= 2 (an integral float is taken as its int), and
-    its bounds are finite."""
+    its bounds are finite.  ClassifyAndSimulate needs N = 2 in every cell:
+    a base with N = 2 and no N axis."""
 
     base: ModelParams
     axis1: tuple[str, float, float, int]  # (field, lo, hi, steps)
@@ -125,8 +126,10 @@ class ScanSpec:
             raise ValueError(f"axes must name distinct fields, both are {self.axis1[0]!r}")
         if self.mode not in SCAN_MODES:
             raise ValueError(f"unknown scan mode {self.mode!r}")
-        if self.mode == "ClassifyAndSimulate" and self.base.N != 2:
-            raise ValueError("ClassifyAndSimulate requires N=2 (the simulator is two-dimensional)")
+        if self.mode == "ClassifyAndSimulate" and (
+                self.base.N != 2 or "N" in (self.axis1[0], self.axis2[0])):
+            raise ValueError("ClassifyAndSimulate requires N=2 on every cell, so no N axis "
+                             "(the simulator is two-dimensional)")
 
 
 def _axis_values(axis) -> list[float]:

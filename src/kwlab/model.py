@@ -28,6 +28,7 @@ v passes |v| to both.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -96,10 +97,13 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> ModelParams:
-        """Build from a JSON-style object whose keys are field names."""
+        """Build from a JSON-style object whose keys are field names and whose
+        values are numbers; null stands for m_tilde's and mu_tilde's default."""
         bad = set(doc) - set(cls.field_names())
         if bad:
             raise ValueError(f"unknown model parameters: {sorted(bad)}")
+        _check_json_values(doc, "model parameter", nullable={"m_tilde", "mu_tilde"},
+                           integers={"N"})
         return cls(**doc)
 
     @staticmethod
@@ -112,6 +116,25 @@ class ModelParams:
         """The record's terms, resolved on first use; construction stays
         cheap for the records that are only classified."""
         return _Plan([self])
+
+
+def _check_json_values(doc: dict, what: str, nullable=(), strings=(), integers=()) -> None:
+    """Refuse a JSON value of the wrong kind, naming its key: a key in `strings`
+    holds a string, every other key a number (not a boolean), and null is
+    allowed only for a key in `nullable`, whose constructor default is None.
+    The message calls a number "an integer" for a key in `integers`; whether
+    the value is integral is the constructor's rule."""
+    for key, value in doc.items():
+        if value is None and key in nullable:
+            continue
+        if key in strings:
+            kind, ok = "a string", isinstance(value, str)
+        else:
+            kind = "an integer" if key in integers else "a number"
+            ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not ok:
+            also = " or null" if key in nullable else ""
+            raise ValueError(f"{what} {key} must be {kind}{also}, got {value!r}")
 
 
 # NumPy's ** evaluates these scalar exponents by reciprocal, ones, sqrt,

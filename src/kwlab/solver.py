@@ -77,7 +77,7 @@ import numpy as np
 from . import functionals, geometry
 from .functionals import EnergyReport, State, make_report
 from .geometry import AnnulusMesh, build_annulus
-from .model import ModelParams, _Plan
+from .model import ModelParams, _Plan, _check_json_values
 
 __all__ = [
     "StepFailure",
@@ -129,12 +129,6 @@ def radial_profile(mesh: AnnulusMesh, profile: str) -> np.ndarray:
     else:
         raise ValueError(f"unknown profile {profile!r}; choose from {PROFILES}")
     return np.broadcast_to(radial[:, None], (mesh.n_r, mesh.n_theta)).copy()
-
-
-@dataclass
-class _SolvedState(State):
-    """negative_energy_data's State and the report that verified it."""
-    report: EnergyReport | None = None
 
 
 def negative_energy_data(
@@ -190,11 +184,10 @@ def negative_energy_data(
             lo = mid
         else:
             hi = mid
-    state = _SolvedState(u=mid * phi, v=np.zeros_like(phi), t=0.0)
+    state = State(u=mid * phi, v=np.zeros_like(phi), t=0.0)
     # E sums terms of about mid^2 A, each rounded to a few eps of that size
     floor = 1e7 * np.finfo(float).eps * mid * mid * a_quad
-    state.report = make_report(mesh, state, params)
-    e_val = state.report.E
+    e_val = make_report(mesh, state, params).E
     if margin < floor or not abs(e_val + margin) <= 1e-6 * margin:
         raise ValueError(f"margin {margin:g} is below what this mesh's energy resolves for "
                          f"{profile!r}: the smallest margin is about {floor:.1e} (E = {e_val:.3e})")
@@ -488,9 +481,11 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
-        """Build from a JSON-style document.  Only its shape is checked here
-        (objects where objects belong, no unknown keys); each key maps to one
-        constructor keyword, and the constructor applies every value rule."""
+        """Build from a JSON-style document.  Only its shape and value kinds
+        are checked here (objects where objects belong, no unknown keys,
+        strings for profile and mode, numbers elsewhere, null only where the
+        keyword defaults to None); each key maps to one constructor keyword,
+        and the constructor applies every value rule."""
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
         doc = dict(doc)
@@ -510,6 +505,10 @@ class SimConfig:
             bad = set(part) - keys
             if bad:
                 raise ValueError(f"unknown {section or 'config'} keys: {sorted(bad)}")
+            _check_json_values(part, f"{section or 'config'} key",
+                               nullable={"cfl", "dt", "scale", "margin", "mode"},
+                               strings={"profile", "mode"},
+                               integers={"n_r", "n_theta", "report_every"})
             kwargs.update((prefix + key, value) for key, value in part.items())
         return cls(**kwargs)
 
@@ -570,17 +569,6 @@ class _Cell:
     accepted: int = 0
     streak: int = 0  # accepted steps since dt last changed
     result: tuple[list[EnergyReport], BlowupReport] | None = None
-
-    @classmethod
-    def start(cls, mesh: AnnulusMesh, cfg: SimConfig, state: State) -> "_Cell":
-        """Report the initial state, or take solved data's; ValueError if it crosses a monitor."""
-        solved = isinstance(state, _SolvedState)  # _check_state makes supplied ones plain
-        report = state.report if solved else make_report(mesh, state, cfg.params)
-        hit = _crossing(mesh, state, cfg.params._plan, cfg.blow_threshold)
-        if hit is not None:
-            raise ValueError(f"initial data already crosses the {hit} monitor "
-                             f"(blow_threshold={cfg.blow_threshold})")
-        return cls(mesh, cfg, [report], t=state.t, dt=cfg.dt)
 
     def next_dt(self) -> float:
         return min(self.dt, self.cfg.t_end - self.t)
@@ -643,7 +631,8 @@ def _run_stack(
     plan: numpy then combines them with the mesh's arrays without
     broadcasting, which a one-row stack would pay for on every operation.
     """
-    cells = [_Cell.start(mesh, cfg, st) for cfg, st in zip(cfgs, states)]
+    cells = [_Cell(mesh, cfg, [make_report(mesh, st, cfg.params)], t=st.t, dt=cfg.dt)
+             for cfg, st in zip(cfgs, states)]
     live = cells
     u = np.stack([st.u for st in states])
     v = np.stack([st.v for st in states])
@@ -702,10 +691,12 @@ def simulate_batch(
     Cells that share a mesh and their kernel branches step together as one
     stack (see _run_stack); each cell's result is bitwise the one simulate
     gives it alone.  `initials` overrides the configured initial data cell by
-    cell (None keeps it).  Raises ValueError when an initial state does not
-    have the mesh's shape, is nonzero on the pinned circle, has a t that is
-    not finite or not below t_end (by _before_end, the end test of an
-    accepted step, so every run takes a step) or so large in magnitude that t + dt_min rounds to t
+    cell (None keeps it).  Every initial state, configured or supplied,
+    passes the same checks before any cell steps, and ValueError names the
+    first bad cell in config order: one whose state does not have the mesh's
+    shape, is nonzero on the pinned circle, has a t that is not finite or not
+    below t_end (by _before_end, the end test of an accepted step, so every
+    run takes a step) or so large in magnitude that t + dt_min rounds to t
     (the run could never advance), or already crosses the blow-up monitors.
     """
     cfgs = list(cfgs)
@@ -720,15 +711,18 @@ def simulate_batch(
         mesh = meshes[shape]
         if initial is None:
             initial = initial_state(mesh, cfg.params, cfg)
-        else:
-            initial = functionals._check_state(mesh, initial, "initial", stack=False)
-            if initial.u[0].any() or initial.v[0].any():
-                raise ValueError(f"initial u and v must have shape {shape[2:]} and be "
-                                 "zero on the pinned circle (row 0)")
-            t = initial.t
-            if not (-math.inf < t and _before_end(cfg, t)) or t + cfg.dt_min == t:
-                raise ValueError(f"initial t must be finite and below t_end={cfg.t_end}, and "
-                                 f"t + dt_min must exceed t (dt_min={cfg.dt_min}), got {t}")
+        initial = functionals._check_state(mesh, initial, "initial", stack=False)
+        if initial.u[0].any() or initial.v[0].any():
+            raise ValueError(f"initial u and v must have shape {shape[2:]} and be "
+                             "zero on the pinned circle (row 0)")
+        t = initial.t
+        if not (-math.inf < t and _before_end(cfg, t)) or t + cfg.dt_min == t:
+            raise ValueError(f"initial t must be finite and below t_end={cfg.t_end}, and "
+                             f"t + dt_min must exceed t (dt_min={cfg.dt_min}), got {t}")
+        hit = _crossing(mesh, initial, cfg.params._plan, cfg.blow_threshold)
+        if hit is not None:
+            raise ValueError(f"initial data already crosses the {hit} monitor "
+                             f"(blow_threshold={cfg.blow_threshold})")
         states.append(initial)
         # the plan's key decides the kernels' branches; lin follows from it
         stacks.setdefault((shape, cfg.params._plan.key), []).append(i)

@@ -124,6 +124,34 @@ def test_classify_params_file_errors(tmp_path, capsys):
     assert "params file must contain a JSON object" in capsys.readouterr().err
 
 
+def test_classify_refuses_a_numeric_string_exponent(tmp_path, capsys):
+    # used to classify with p = 4 and exit 0: float() accepted "4"
+    f = tmp_path / "params.json"
+    f.write_text(json.dumps({"gamma": 1, "p": "4"}))
+    assert cli.main(["classify", "--params-file", str(f)]) == 2
+    assert "model parameter p must be a number, got '4'" in capsys.readouterr().err
+
+
+def test_classify_refuses_a_boolean_weight(tmp_path, capsys):
+    # used to classify with alpha = 1 and exit 0: true is the int 1
+    f = tmp_path / "params.json"
+    f.write_text(json.dumps({"gamma": 1, "p": 4, "alpha": True, "m": 3}))
+    assert cli.main(["classify", "--params-file", str(f)]) == 2
+    assert "model parameter alpha must be a number, got True" in capsys.readouterr().err
+
+
+def test_a_string_number_error_names_its_key(tmp_path, capsys):
+    # these exited 2 with "'<=' (or '<') not supported between instances of
+    # 'int' and 'str'", which names no key
+    f = tmp_path / "params.json"
+    f.write_text(json.dumps({"gamma": "1", "p": 4}))
+    assert cli.main(["classify", "--params-file", str(f)]) == 2
+    assert "model parameter gamma must be a number, got '1'" in capsys.readouterr().err
+    cfg = write_sim_config(tmp_path / "cfg.json", t_end="2")
+    assert cli.main(["simulate", str(cfg), str(tmp_path / "o")]) == 2
+    assert "config key t_end must be a number, got '2'" in capsys.readouterr().err
+
+
 def test_classify_invalid_parameters_exit_2(capsys):
     assert cli.main(["classify", "--N", "1"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -341,6 +369,19 @@ def test_simulate_rejects_bad_initial_data_and_report_spacing(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("overrides, fragment", [
+    (dict(params={"gamma": 1.0, "p": 4.0, "alpha": True}),
+     "model parameter alpha must be a number, got True"),
+    (dict(t_end=True), "config key t_end must be a number, got True"),
+])
+def test_simulate_refuses_a_boolean_number(tmp_path, capsys, overrides, fragment):
+    # these ran, with alpha = 1 and to t = 1
+    cfg = write_sim_config(tmp_path / "cfg.json", **overrides)
+    assert cli.main(["simulate", str(cfg), str(tmp_path / "o")]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "overrides, fragment",
     [
@@ -510,6 +551,19 @@ def test_scan_spec_direct_construction():
         cli.ScanSpec(base, ("p", 2, 4, 2), ("p", 2, 4, 2))
     with pytest.raises(ValueError, match="unknown scan mode"):
         cli.ScanSpec(base, ("p", 2, 4, 2), ("q", 2, 4, 2), mode="Both")
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_scan_spec_refuses_an_n_axis_when_simulating(axis):
+    """An N axis used to construct, classify every cell and only then fail in
+    SimConfig, writing no CSV; classifying alone may still sweep N."""
+    base = ModelParams(gamma=1.0, alpha=1.0, m=2)
+    axes = [("N", 2, 3, 2), ("p", 3, 4, 2)]
+    if axis:
+        axes.reverse()
+    with pytest.raises(ValueError, match="no N axis"):
+        cli.ScanSpec(base, *axes, mode="ClassifyAndSimulate")
+    assert cli.ScanSpec(base, *axes).mode == "ClassifyOnly"
 
 
 @pytest.mark.parametrize("axis, message", [

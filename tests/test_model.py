@@ -69,6 +69,22 @@ def test_from_dict_builds_the_record_and_rejects_unknown_keys():
         ModelParams.from_dict({"p": 1.5})
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"gamma": 1, "p": "4"}, "p"),
+    ({"gamma": "1", "p": 4}, "gamma"),
+    ({"gamma": 1, "p": 4, "alpha": True}, "alpha"),
+    ({"gamma": 1, "p": None}, "p"),
+    ({"N": [2]}, "N"),
+    ({"m": {"value": 3}}, "m"),
+])
+def test_from_dict_takes_only_numbers(doc, key):
+    """A string, boolean, list, object or null where a number belongs is
+    refused by name; null stands only for the tildes' defaults."""
+    with pytest.raises(ValueError, match=f"model parameter {key} must be (a number|an integer)"):
+        ModelParams.from_dict(doc)
+    assert ModelParams.from_dict({"m": 3, "m_tilde": None, "mu_tilde": None}) == ModelParams(m=3)
+
+
 def test_default_tilde_is_the_constructors_default():
     for m in (1.5, 2, 3.5):
         assert ModelParams(m=m, mu=m).m_tilde == ModelParams.default_tilde(m) == min(2.0, m)

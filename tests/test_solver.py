@@ -718,6 +718,25 @@ def test_config_from_dict_rejects_unknown_keys(doc, pattern):
         SimConfig.from_dict(doc)
 
 
+@pytest.mark.parametrize("extra, pattern", [
+    ({"t_end": None}, "config key t_end must be a number, got None"),
+    ({"report_every": "5"}, "config key report_every must be an integer"),
+    ({"mesh": {"n_r": [17]}}, "mesh key n_r must be an integer"),
+    ({"initial_data": {"profile": None}}, "initial_data key profile must be a string"),
+    ({"initial_data": {"mode": 1}}, "initial_data key mode must be a string or null"),
+    ({"initial_data": {"scale": False}}, "initial_data key scale must be a number or null"),
+])
+def test_config_from_dict_takes_only_numbers(extra, pattern):
+    """Numbers where numbers belong, strings for profile and mode, and null
+    only where the keyword defaults to None, which it then means."""
+    doc = {"params": {"gamma": 1.0, "p": 4}, "mesh": {"n_r": 17, "n_theta": 16}}
+    with pytest.raises(ValueError, match=pattern):
+        SimConfig.from_dict({**doc, **extra})
+    nulls = {"cfl": None, "dt": None,
+             "initial_data": {"mode": None, "scale": None, "margin": None}}
+    assert SimConfig.from_dict({**doc, **nulls}) == SimConfig.from_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # full runs
 
@@ -1097,6 +1116,20 @@ def test_stacked_initial_crossings_name_the_first_cell():
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             simulate_batch(cfgs, [st, st])
+
+
+def test_a_batch_reports_its_first_bad_cell_in_config_order():
+    """Configured and supplied initial states pass one gate, cell by cell in
+    config order: a configured state that crosses a monitor is named before
+    a later cell's supplied state of the wrong shape, and the other way
+    round."""
+    hot = SimConfig(params=SOURCE_PARAMS, n_r=17, n_theta=16, t_end=1.0, initial_scale=1e4)
+    calm = SimConfig(params=SOURCE_PARAMS, n_r=17, n_theta=16, t_end=1.0)
+    wrong = State(u=np.zeros((9, 8)), v=np.zeros((9, 8)))
+    with pytest.raises(ValueError, match="initial data already crosses"):
+        simulate_batch([hot, calm], [None, wrong])
+    with pytest.raises(ValueError, match="initial u and v must have shape"):
+        simulate_batch([calm, hot], [wrong, None])
 
 
 @pytest.mark.parametrize("calm, t", [
