@@ -11,8 +11,12 @@
 # record (report_every 1, dt_min 1e-5), a Newton-kick record, a
 # boundary-only Newton record, a linear record with unequal weights, the
 # 129x128 calm run, one run each with an explicit dt and with cfl 0.3
-# (the two ways to set the step size), and one on radii 1..3 with
-# integer-typed mesh values (n_theta 16.0); seven ClassifyAndSimulate scans,
+# (the two ways to set the step size), one on radii 1..3 with
+# integer-typed mesh values (n_theta 16.0), and three blow-ups on solver
+# paths no other output reaches: an undamped source run (the kick without
+# damping), a boundary-source-only run on 24 radial nodes (no interior
+# source, and a dr of 1/23 that is not a power of two), and a steep p = 40
+# run whose candidate overflows the exact norms; seven ClassifyAndSimulate scans,
 # two of them on an alpha or beta axis over linear-damping cells and one
 # from a --params-file whose m a --m flag overrides, so m_tilde re-derives on
 # its m axis; three `classify` lines, one from a --params-file with a flag
@@ -87,7 +91,25 @@ cat >radii.json <<'JSON'
  "initial_data": {"profile": "ramp", "margin": 1.0},
  "t_end": 20.0, "dt_min": 1e-5, "report_every": 5}
 JSON
-for run in c06 newton boundary_newton linear fine dt cfl radii; do
+cat >undamped.json <<'JSON'
+{"params": {"gamma": 1.0, "p": 6.0},
+ "mesh": {"n_r": 17, "n_theta": 16},
+ "initial_data": {"profile": "ramp", "margin": 1.0},
+ "t_end": 20.0, "dt_min": 1e-5, "report_every": 5}
+JSON
+cat >boundary_source.json <<'JSON'
+{"params": {"beta": 1.0, "mu": 2.0, "delta": 1.0, "q": 4.0},
+ "mesh": {"n_r": 24, "n_theta": 16},
+ "initial_data": {"profile": "ramp", "margin": 1.0},
+ "t_end": 20.0, "dt_min": 1e-5, "report_every": 5}
+JSON
+cat >steep.json <<'JSON'
+{"params": {"alpha": 1.0, "m": 1.5, "gamma": 1.0, "p": 40.0},
+ "mesh": {"n_r": 17, "n_theta": 16},
+ "initial_data": {"margin": 1.0},
+ "t_end": 20.0, "dt_min": 1e-7}
+JSON
+for run in c06 newton boundary_newton linear fine dt cfl radii undamped boundary_source steep; do
     kwlab simulate "$run.json" "$run"
 done
 

@@ -40,16 +40,16 @@ S(u_n), untouched.
 
 Step control: each cell's controller (_Cell) decides its dt, min(dt,
 t_end - t), and how a step ends.  An accepted step is reported when due and
-ends the run at t_end; after 64 in a row a halved dt doubles back.  A failed
-damping solve (DtFloor) and a monitor crossing (PhaseNorm, LpNorm) are
-rejected by one path: dt halves, and once it is at dt_min the run ends with
-the bracket (t, t + dt) of width <= dt_min, at the state before the step for
-DtFloor and at the crossing candidate otherwise.  Initial data that already
-crosses the monitors is an error.  The monitor first tries to prove a step
-calm from max|u| and max|v| alone (functionals._max_norm_bounds) and
-evaluates the exact norms only when it cannot, so no output changes; a run
-close to its threshold pays the full cost, and a stack is proved calm only
-when every one of its cells is.
+ends the run at t_end.  A failed damping solve (DtFloor) and a monitor
+crossing (PhaseNorm, LpNorm) are rejected by one path: dt halves for the rest
+of the run, and once it is at dt_min the run ends with the bracket
+(t, t + dt) of width <= dt_min, at the state before the step for DtFloor and
+at the crossing candidate otherwise.  Initial data that already crosses the
+monitors is an error.  The monitor first tries to prove a step calm from
+max|u| and max|v| alone (functionals._max_norm_bounds) and evaluates the
+exact norms only when it cannot, so no output changes; a run close to its
+threshold pays the full cost, and a stack is proved calm only when every one
+of its cells is.
 
 Stacks: the kernels (_accel, _solve_damped_kick, step, _crossing and the
 geometry operators under them) also take a stack of cells, arrays of shape
@@ -70,6 +70,7 @@ result is bitwise the one it gets alone; simulate is the batch of one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -449,9 +450,13 @@ class SimConfig:
             raise ValueError(
                 f"dt_min must lie in (0, dt) (dt_min={self.dt_min}, dt={self.dt})"
             )
-        if not 0 < self.blow_threshold < math.inf:
+        # PhaseNorm compares with the square, which must neither overflow
+        # nor round to 0 or a subnormal
+        threshold = self.blow_threshold
+        if not (threshold > 0 and sys.float_info.min <= threshold * threshold < math.inf):
             raise ValueError(
-                f"blow_threshold must be positive and finite, got {self.blow_threshold}"
+                "blow_threshold must be positive with a square that is a normal float "
+                f"(about 1.5e-154 to 1.3e154), got {threshold}"
             )
         every = self.report_every
         if isinstance(every, bool) or not float(every).is_integer():
@@ -538,11 +543,14 @@ def _crossing(
     phase_bound, source_bound = functionals._max_norm_bounds(mesh, state, plan)
     if ((phase_bound < threshold * threshold) & (source_bound < threshold)).all():
         return None
-    calm = functionals._phase_parts(mesh, state)[3] < threshold * threshold
-    lp_calm = True
-    if calm.any() if isinstance(calm, np.ndarray) else calm:
-        lp, lq = functionals._source_norms(mesh, state.u, plan)
-        lp_calm = lp + lq < threshold
+    # a candidate near float range overflows a square or a power to inf, or
+    # inf - inf to NaN; neither compares below the threshold, so it crossed
+    with np.errstate(over="ignore", invalid="ignore"):
+        calm = functionals._phase_parts(mesh, state)[3] < threshold * threshold
+        lp_calm = True
+        if calm.any() if isinstance(calm, np.ndarray) else calm:
+            lp, lq = functionals._source_norms(mesh, state.u, plan)
+            lp_calm = lp + lq < threshold
     quiet = calm & lp_calm
     if quiet.all() if isinstance(quiet, np.ndarray) else quiet:
         return None
@@ -567,7 +575,6 @@ class _Cell:
     t: float
     dt: float
     accepted: int = 0
-    streak: int = 0  # accepted steps since dt last changed
     result: tuple[list[EnergyReport], BlowupReport] | None = None
 
     def next_dt(self) -> float:
@@ -579,10 +586,6 @@ class _Cell:
         cfg = self.cfg
         self.t = state.t
         self.accepted += 1
-        self.streak += 1
-        if self.streak >= 64 and self.dt < cfg.dt:
-            self.dt = min(2.0 * self.dt, cfg.dt)
-            self.streak = 0
         if self.accepted % cfg.report_every == 0:
             self.report(state)
         if not _before_end(cfg, self.t):
@@ -594,13 +597,12 @@ class _Cell:
 
     def reject(self, final: State, cause: str, t_try: float) -> None:
         """Roll back a step to t_try rejected for `cause` (DtFloor, PhaseNorm
-        or LpNorm): halve dt, or at the floor end the run at `final`, the
-        blow-up bracketed by (t, t_try)."""
+        or LpNorm): halve dt for the rest of the run, or at the floor end the
+        run at `final`, the blow-up bracketed by (t, t_try)."""
         if self.dt <= self.cfg.dt_min:
             self.finish(final, cause, (self.t, t_try))
         else:
             self.dt = max(0.5 * self.dt, self.cfg.dt_min)
-            self.streak = 0
 
     def finish(self, final: State, trigger: str, bracket) -> None:
         """End the run at `final`; `bracket` is None unless it blew up."""

@@ -435,11 +435,35 @@ def test_step_reuses_the_kicks_damping_evaluation(monkeypatch, par, outside):
     assert counts["outside"] == outside * counts["steps"]
 
 
-def test_dt_regrows_after_64_clean_steps(monkeypatch):
-    """A failed damping solve halves dt; 64 accepted steps later dt doubles
-    back to the configured value."""
-    kick, step_fn = solver._solve_damped_kick, solver.step
-    dts, failures = [], []
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p, m", [(40, 1.5), (60, 1.5), (100, 3)])
+def test_overflowing_candidate_crosses_without_a_warning(p, m):
+    """A steep blow-up's candidate overflows the exact norms' squares and
+    powers; that counts as crossed, and no RuntimeWarning leaks."""
+    cfg = SimConfig.from_dict({"params": {"alpha": 1, "m": m, "gamma": 1, "p": p},
+                               "mesh": {"n_r": 17, "n_theta": 16},
+                               "initial_data": {"margin": 1}, "t_end": 20, "dt_min": 1e-7})
+    _, blowup = simulate(cfg)
+    assert blowup.blew_up and blowup.trigger == "LpNorm"
+
+
+def record_step_dts(monkeypatch) -> list:
+    """Record the dt of every step that returns, from now on."""
+    dts, step_fn = [], solver.step
+
+    def recorded_step(mesh, state, params, dt, s_u=None):
+        out = step_fn(mesh, state, params, dt, s_u)
+        dts.append(dt)
+        return out
+
+    monkeypatch.setattr(solver, "step", recorded_step)
+    return dts
+
+
+def test_failed_kick_halves_dt_for_the_rest_of_the_run(monkeypatch):
+    """A failed damping solve halves dt, and nothing raises it again: every
+    later step but the last, which t_end may shorten, takes the halved dt."""
+    kick, failures = solver._solve_damped_kick, []
 
     def failing_once(*args):
         if not failures:
@@ -447,21 +471,34 @@ def test_dt_regrows_after_64_clean_steps(monkeypatch):
             raise StepFailure("injected", np.True_)
         return kick(*args)
 
-    def recorded_step(mesh, state, params, dt, s_u=None):
-        out = step_fn(mesh, state, params, dt, s_u)
-        dts.append(dt)
-        return out
-
     monkeypatch.setattr(solver, "_solve_damped_kick", failing_once)
-    monkeypatch.setattr(solver, "step", recorded_step)
+    dts = record_step_dts(monkeypatch)
     cfg = SimConfig(params=ModelParams(alpha=1.0, m=3), n_r=17, n_theta=16,
                     t_end=3.0, initial_scale=0.3)
     _, blowup = simulate(cfg)
     assert failures == [1]
-    assert dts[:64] == [0.5 * cfg.dt] * 64
-    assert set(dts[64:-1]) == {cfg.dt}
+    assert set(dts[:-1]) == {0.5 * cfg.dt} and dts[-1] <= 0.5 * cfg.dt
     assert blowup.trigger == "None" and blowup.steps == len(dts)
-    assert blowup.dt_final == cfg.dt
+    assert blowup.dt_final == 0.5 * cfg.dt
+
+
+def test_monitor_rejection_halves_dt_for_the_rest_of_the_run(monkeypatch):
+    """A crossing that the halved step no longer makes is no blow-up, and
+    the halved dt stands: a damped, source-free run whose phase norm peaks
+    just above the threshold, at 1 - 1e-6 of its square."""
+    base = dict(params=ModelParams(beta=0.5, mu=3), n_r=17, n_theta=16, t_end=6.0,
+                report_every=1, initial_profile="sine", initial_scale=1.0)
+    reports, _ = simulate(SimConfig(**base))
+    peak = max(r.phase_norm_sq for r in reports)
+    assert peak > reports[0].phase_norm_sq  # the initial data stays calm
+    cfg = SimConfig(**base, blow_threshold=math.sqrt((1.0 - 1e-6) * peak))
+    dts = record_step_dts(monkeypatch)
+    _, blowup = simulate(cfg)
+    assert not blowup.blew_up and blowup.trigger == "None"
+    first = next(k for k, dt in enumerate(dts) if dt < cfg.dt)
+    assert max(dts[first:]) <= 0.5 * cfg.dt
+    # one step was rolled back: the full step before `first`
+    assert blowup.dt_final == 0.5 * cfg.dt and blowup.steps == len(dts) - 1
 
 
 def count_plan_builds(monkeypatch) -> list:
@@ -640,6 +677,11 @@ def test_config_dt_uses_the_spacing_of_the_mesh_it_runs_on(mesh_args, cfl):
         ),
         (dict(params=SOURCE_PARAMS, t_end=math.inf), "t_end must be positive and finite"),
         (dict(params=SOURCE_PARAMS, blow_threshold=math.inf), "blow_threshold"),
+        # the square PhaseNorm compares with overflows, or rounds to 0, so
+        # zero data would cross
+        (dict(params=SOURCE_PARAMS, blow_threshold=1e200), "blow_threshold must be positive with"),
+        (dict(params=SOURCE_PARAMS, blow_threshold=1e-200, initial_scale=0.0),
+         "blow_threshold must be positive with"),
         (dict(params=SOURCE_PARAMS, n_r=33.7), "n_r must be an integer"),
         (dict(params=SOURCE_PARAMS, n_theta=math.nan), "n_theta must be an integer"),
         (dict(params=SOURCE_PARAMS, n_r=1), "n_r must be at least 3"),
@@ -663,6 +705,11 @@ def test_config_dt_uses_the_spacing_of_the_mesh_it_runs_on(mesh_args, cfl):
 def test_config_validation(kwargs, pattern):
     with pytest.raises(ValueError, match=pattern):
         SimConfig(**kwargs)
+
+
+@pytest.mark.parametrize("threshold", [1e-150, 1e150])
+def test_config_accepts_a_threshold_whose_square_is_normal(threshold):
+    assert SimConfig(params=SOURCE_PARAMS, blow_threshold=threshold).blow_threshold == threshold
 
 
 def test_config_from_dict_round_trip():
