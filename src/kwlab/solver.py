@@ -70,7 +70,6 @@ result is bitwise the one it gets alone; simulate is the batch of one.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -453,7 +452,7 @@ class SimConfig:
         # PhaseNorm compares with the square, which must neither overflow
         # nor round to 0 or a subnormal
         threshold = self.blow_threshold
-        if not (threshold > 0 and sys.float_info.min <= threshold * threshold < math.inf):
+        if not (threshold > 0 and np.finfo(float).tiny <= threshold * threshold < math.inf):
             raise ValueError(
                 "blow_threshold must be positive with a square that is a normal float "
                 f"(about 1.5e-154 to 1.3e154), got {threshold}"

@@ -484,8 +484,8 @@ def test_failed_kick_halves_dt_for_the_rest_of_the_run(monkeypatch):
 
 def test_monitor_rejection_halves_dt_for_the_rest_of_the_run(monkeypatch):
     """A crossing that the halved step no longer makes is no blow-up, and
-    the halved dt stands: a damped, source-free run whose phase norm peaks
-    just above the threshold, at 1 - 1e-6 of its square."""
+    the halved dt stands: a damped, source-free run whose squared threshold
+    is 1 - 1e-6 times the peak phase_norm_sq it reaches without one."""
     base = dict(params=ModelParams(beta=0.5, mu=3), n_r=17, n_theta=16, t_end=6.0,
                 report_every=1, initial_profile="sine", initial_scale=1.0)
     reports, _ = simulate(SimConfig(**base))
