@@ -677,11 +677,6 @@ def test_config_dt_uses_the_spacing_of_the_mesh_it_runs_on(mesh_args, cfl):
         ),
         (dict(params=SOURCE_PARAMS, t_end=math.inf), "t_end must be positive and finite"),
         (dict(params=SOURCE_PARAMS, blow_threshold=math.inf), "blow_threshold"),
-        # the square PhaseNorm compares with overflows, or rounds to 0, so
-        # zero data would cross
-        (dict(params=SOURCE_PARAMS, blow_threshold=1e200), "blow_threshold must be positive with"),
-        (dict(params=SOURCE_PARAMS, blow_threshold=1e-200, initial_scale=0.0),
-         "blow_threshold must be positive with"),
         (dict(params=SOURCE_PARAMS, n_r=33.7), "n_r must be an integer"),
         (dict(params=SOURCE_PARAMS, n_theta=math.nan), "n_theta must be an integer"),
         (dict(params=SOURCE_PARAMS, n_r=1), "n_r must be at least 3"),
@@ -700,6 +695,11 @@ def test_config_dt_uses_the_spacing_of_the_mesh_it_runs_on(mesh_args, cfl):
         (dict(params=SOURCE_PARAMS, cfl=0.3, dt=0.01), "key 'cfl' does not apply when 'dt'"),
         (dict(params=SOURCE_PARAMS, initial_scale=2.0, initial_margin=1.0),
          "key 'margin' does not apply to mode 'scaled'"),
+        # the square PhaseNorm compares with overflows, or rounds to 0, so
+        # zero data would cross
+        (dict(params=SOURCE_PARAMS, blow_threshold=1e200), "blow_threshold must be positive with"),
+        (dict(params=SOURCE_PARAMS, blow_threshold=1e-200, initial_scale=0.0),
+         "blow_threshold must be positive with"),
     ],
 )
 def test_config_validation(kwargs, pattern):
