@@ -12,20 +12,23 @@
 # boundary-only Newton record, a linear record with unequal weights, the
 # 129x128 calm run, one run each with an explicit dt and with cfl 0.3
 # (the two ways to set the step size), one on radii 1..3 with
-# integer-typed mesh values (n_theta 16.0), and three blow-ups on solver
+# integer-typed mesh values (n_theta 16.0), and five blow-ups on solver
 # paths no other output reaches: an undamped source run (the kick without
 # damping), a boundary-source-only run on 24 radial nodes (no interior
-# source, and a dr of 1/23 that is not a power of two), and a steep p = 40
-# run whose candidate overflows the exact norms; seven ClassifyAndSimulate scans,
-# two of them on an alpha or beta axis over linear-damping cells and one
-# from a --params-file whose m a --m flag overrides, so m_tilde re-derives on
-# its m axis; three `classify` lines, one from a --params-file with a flag
-# over one of its keys; seven `oracle` queries: two plain ones, l near 1 (1.05), a huge psi0
-# (1e300), three trajectories (one with --threshold 1e3, one with c > 0 and
-# psi0 near the edge c^(1/l) but inside blowup_time's conditioning guard),
-# and the refused near-edge query psi0 = 1.0000001, whose exit code 3 is
-# recorded in stdout.txt.  For the classifier, four ClassifyOnly grids
-# at each N = 3..7: the interior side (p x m), the boundary side (q x mu),
+# source, and a dr of 1/23 that is not a power of two), a steep p = 40
+# run whose candidate overflows the exact norms, and the same at p = 100,
+# whose candidate overflows in the step, at dt_min 1e-7 and at 1e-3 (a
+# PhaseNorm blow-up with nulls in its final report); seven ClassifyAndSimulate
+# scans, two of them on an alpha or beta axis over linear-damping cells and
+# one from a --params-file whose m a --m flag overrides, so m_tilde
+# re-derives on its m axis; three `classify` lines, one from a
+# --params-file with a flag over one of its keys; seven `oracle` queries:
+# two plain ones, l near 1 (1.05), a huge psi0 (1e300), three
+# trajectories (one with --threshold 1e3, one with c > 0 and psi0 near the
+# edge c^(1/l) but inside blowup_time's conditioning guard), and the
+# refused near-edge query psi0 = 1.0000001, whose exit code 3 is recorded
+# in stdout.txt.  For the classifier, four ClassifyOnly grids at each
+# N = 3..7: the interior side (p x m), the boundary side (q x mu),
 # both sources (p x q), and one corner grid whose first cell sits exactly on
 # the (1.12)/(1.11) borderline 1 + r/m' of each side with m = mu = 7 and
 # both dampings on.  Together they print every `fired` label and the (1.12)
@@ -109,7 +112,10 @@ cat >steep.json <<'JSON'
  "initial_data": {"margin": 1.0},
  "t_end": 20.0, "dt_min": 1e-7}
 JSON
-for run in c06 newton boundary_newton linear fine dt cfl radii undamped boundary_source steep; do
+sed 's/"p": 40.0/"p": 100.0/' steep.json >steep100.json
+sed 's/"dt_min": 1e-7/"dt_min": 1e-3/' steep100.json >steep100_coarse.json
+for run in c06 newton boundary_newton linear fine dt cfl radii undamped boundary_source steep \
+           steep100 steep100_coarse; do
     kwlab simulate "$run.json" "$run"
 done
 

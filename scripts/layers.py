@@ -1,4 +1,4 @@
-"""Best-of-N time per call of a step's kernels, by mesh size, and of the scalar layers.
+"""Untraced cost by layer: a step's kernels by mesh size, whole fine runs, the scalar layers.
 
     python3 scripts/layers.py [--repeat 7] [--number 100]
 
@@ -23,7 +23,13 @@ pass over every kernel runs first, so the first column pays no warm-up.
   step                                           one step, S(u) passed in
   make_report                                    one cell only ("-" on the stack)
 
-A second table times the scalar layers of the theory workload, untraced, on
+A second table runs cli.run_simulate REPEAT times, in a temporary directory,
+on fine.json of scripts/cli_outputs.sh (129x128, p = m = 2, ramp data at
+scale 1, t_end 2, 640 steps): one line per round of its wall time and its
+minor faults (getrusage), then the medians; the first round also warms the
+allocator.  It runs before the scalar table, whose blowup_time imports scipy.
+
+A third table times the scalar layers of the theory workload, untraced, on
 one fixed record in the ranges acceptance c09 draws from (N = 5, every weight
 on) and one comparison-ODE query (l = 2.5, c = 2, psi0 = 2.5, threshold 1e6).
 ModelParams(**rec), RegimeVerdict(...) and classify take microseconds, so
@@ -34,8 +40,15 @@ the count; the least of REPEAT repeats is printed in microseconds per call.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
+import json
+import resource
+import statistics
 import sys
+import tempfile
+import time
 import timeit
 from pathlib import Path
 
@@ -44,7 +57,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from kwlab import functionals, geometry, model, oracle, regimes, solver  # noqa: E402
+from kwlab import cli, functionals, geometry, model, oracle, regimes, solver  # noqa: E402
 from kwlab.functionals import State, make_report  # noqa: E402
 from kwlab.model import ModelParams  # noqa: E402
 
@@ -54,6 +67,10 @@ STACK = 16
 RECORD = dict(N=5, a=0.6, b=0.3, alpha=1.2, beta=0.8, gamma=1.5, delta=0.4, m=3.1, mu=4.2,
               m_tilde=1.5, mu_tilde=1.7, p=3.3, q=4.4)
 QUERY = oracle.OdeProblem(l=2.5, c=2.0, psi0=2.5)
+FINE = {"params": {"gamma": 1.0, "p": 2.0, "alpha": 1.0, "m": 2.0},
+        "mesh": {"n_r": 129, "n_theta": 128},
+        "initial_data": {"profile": "ramp", "mode": "scaled", "scale": 1.0},
+        "t_end": 2.0, "report_every": 10}
 
 
 def case(n_r, n_theta, cells):
@@ -123,7 +140,27 @@ def main(argv=None):
         cells = (f"{row[label]:12.1f}" if label in row else f"{'-':>12}" for label in labels)
         print(f"{name:<{width}}" + "".join(cells))
     print()
+    fine_run_table(args.repeat)
+    print()
     scalar_table(args.repeat, args.number)
+
+
+def fine_run_table(rounds):
+    """Wall time and minor faults of whole 129x128 runs (see the module docstring)."""
+    walls, faults = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "fine.json"
+        config.write_text(json.dumps(FINE))
+        for k in range(rounds):
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            t0 = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.run_simulate(config, Path(tmp) / "out")
+            walls.append(time.perf_counter() - t0)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+            print(f"round {k}: {walls[-1]:.4f} s, {faults[-1]} minor faults")
+    print(f"median over {rounds} rounds: {statistics.median(walls):.4f} s, "
+          f"{statistics.median(faults):g} minor faults")
 
 
 def scalar_table(repeat, number):

@@ -118,6 +118,12 @@ class ModelParams:
         return _Plan([self])
 
 
+def _is_number(value) -> bool:
+    """Whether `value` is a real number and not a boolean: what "a number"
+    means to the JSON documents and to SimConfig."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_json_values(doc: dict, what: str, nullable=(), strings=(), integers=()) -> None:
     """Refuse a JSON value of the wrong kind, naming its key: a key in `strings`
     holds a string, every other key a number (not a boolean), and null is
@@ -131,7 +137,7 @@ def _check_json_values(doc: dict, what: str, nullable=(), strings=(), integers=(
             kind, ok = "a string", isinstance(value, str)
         else:
             kind = "an integer" if key in integers else "a number"
-            ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            ok = _is_number(value)
         if not ok:
             also = " or null" if key in nullable else ""
             raise ValueError(f"{what} {key} must be {kind}{also}, got {value!r}")

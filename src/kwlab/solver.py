@@ -77,7 +77,7 @@ import numpy as np
 from . import functionals, geometry
 from .functionals import EnergyReport, State, make_report
 from .geometry import AnnulusMesh, build_annulus
-from .model import ModelParams, _Plan, _check_json_values
+from .model import ModelParams, _Plan, _check_json_values, _is_number
 
 __all__ = [
     "StepFailure",
@@ -142,8 +142,8 @@ def negative_energy_data(
     found by doubling and bisection.  The result's E is within a relative
     1e-6 of -margin, or ValueError names the smallest margin E resolves.
     """
-    if not margin > 0:
-        raise ValueError(f"margin must be positive, got {margin}")
+    if not 0 < margin < math.inf:
+        raise ValueError(f"margin must be positive and finite, got {margin}")
     phi = radial_profile(mesh, profile)
     grad_omega, grad_gamma = geometry.gradient_energy(mesh, phi)
     a_quad = 0.5 * (grad_omega + grad_gamma)
@@ -398,6 +398,12 @@ def step(
 # simulation driver
 
 
+# SimConfig's keywords that take a real number; the optional ones default to None
+_REAL_KEYWORDS = ("r_inner", "r_outer", "cfl", "dt", "t_end", "dt_min", "blow_threshold",
+                  "initial_scale", "initial_margin")
+_OPTIONAL_KEYWORDS = ("cfl", "dt", "initial_scale", "initial_margin")
+
+
 @dataclass
 class SimConfig:
     """Everything one run needs; every rule is checked at construction.
@@ -427,6 +433,12 @@ class SimConfig:
     initial_margin: float | None = None
 
     def __post_init__(self, cfl):
+        # numbers only: True would pass as 1, and a string fail later naming no field
+        for name in _REAL_KEYWORDS:
+            value = cfl if name == "cfl" else getattr(self, name)
+            if not (_is_number(value) or value is None and name in _OPTIONAL_KEYWORDS):
+                also = " or None" if name in _OPTIONAL_KEYWORDS else ""
+                raise ValueError(f"{name} must be a number{also}, got {value!r}")
         if self.params.N != 2:
             raise ValueError(f"the simulator is two-dimensional; N=2 required, got N={self.params.N}")
         dr, dtheta = geometry.mesh_spacing(self.r_inner, self.r_outer, self.n_r, self.n_theta)
@@ -480,8 +492,8 @@ class SimConfig:
             setattr(self, "initial_" + used, 1.0)
         if mode == "scaled" and not math.isfinite(self.initial_scale):
             raise ValueError(f"initial scale must be finite, got {self.initial_scale}")
-        if mode != "scaled" and not self.initial_margin > 0:
-            raise ValueError(f"margin must be positive, got {self.initial_margin}")
+        if mode != "scaled" and not 0 < self.initial_margin < math.inf:
+            raise ValueError(f"margin must be positive and finite, got {self.initial_margin}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
@@ -537,7 +549,8 @@ def _crossing(
 
     On a stack of cells, with one threshold per cell: None when no cell
     crossed, else an object array holding each cell's name or None.  When
-    the max-norm bounds prove every cell calm, the exact norms are skipped.
+    the max-norm bounds prove every cell calm, the exact norms are skipped;
+    otherwise both are evaluated for every cell.
     """
     phase_bound, source_bound = functionals._max_norm_bounds(mesh, state, plan)
     if ((phase_bound < threshold * threshold) & (source_bound < threshold)).all():
@@ -546,10 +559,8 @@ def _crossing(
     # inf - inf to NaN; neither compares below the threshold, so it crossed
     with np.errstate(over="ignore", invalid="ignore"):
         calm = functionals._phase_parts(mesh, state)[3] < threshold * threshold
-        lp_calm = True
-        if calm.any() if isinstance(calm, np.ndarray) else calm:
-            lp, lq = functionals._source_norms(mesh, state.u, plan)
-            lp_calm = lp + lq < threshold
+        lp, lq = functionals._source_norms(mesh, state.u, plan)
+        lp_calm = lp + lq < threshold
     quiet = calm & lp_calm
     if quiet.all() if isinstance(quiet, np.ndarray) else quiet:
         return None
@@ -638,49 +649,54 @@ def _run_stack(
     u = np.stack([st.u for st in states])
     v = np.stack([st.v for st in states])
     s_u = None
-    while live:
-        if len(live) == 1:
-            u, v = u[0], v[0]
-            s_u = None if s_u is None else s_u[0]
-            plan, threshold = live[0].cfg.params._plan, live[0].cfg.blow_threshold
-            gather, split = (lambda xs: xs[0]), (lambda x: [x])
-        else:
-            plan = _Plan([c.cfg.params for c in live])
-            threshold = np.array([c.cfg.blow_threshold for c in live])
-            gather, split = np.array, list
-        if s_u is None:
-            s_u = _accel(mesh, u, plan)
-        while all(c.result is None for c in live):
-            dt, t = [c.next_dt() for c in live], gather([c.t for c in live])
-            try:
-                cand, s_cand = step(mesh, State(u, v, t), plan, gather(dt), s_u)
-            except StepFailure as exc:
-                for c, dt_i, fail, u_i, v_i in zip(live, dt, split(exc.cells), split(u), split(v)):
-                    if fail:
-                        c.reject(State(u_i, v_i, c.t), "DtFloor", c.t + dt_i)
-                continue  # the cells the failed solve spared retry the same step
-            hit = _crossing(mesh, cand, plan, threshold)
-            hits = [None] * len(live) if hit is None else split(hit)
-            for c, dt_i, name, u_i, v_i in zip(live, dt, hits, split(cand.u), split(cand.v)):
-                # c.t + dt_i is the candidate's t, which step computes the same way
-                new = State(u_i, v_i, c.t + dt_i)
-                if name is None:
-                    c.accept(new)
-                else:  # a detection ends at the candidate whose norms crossed
-                    c.reject(new, name, new.t)
-            if hit is None:
-                u, v, s_u = cand.u, cand.v, s_cand
+    # a steep blow-up's candidate may overflow in step, the monitor or the
+    # final report; the monitor counts a non-finite candidate as crossed, and
+    # a run that ends there reports it (with non-finite values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live:
+            if len(live) == 1:
+                u, v = u[0], v[0]
+                s_u = None if s_u is None else s_u[0]
+                plan, threshold = live[0].cfg.params._plan, live[0].cfg.blow_threshold
+                gather, split = (lambda xs: xs[0]), (lambda x: [x])
             else:
-                accept = np.equal(hit, None)
-                if accept.any():
-                    grid = accept[:, None, None]
-                    u = np.where(grid, cand.u, u)
-                    v = np.where(grid, cand.v, v)
-                    s_u = np.where(grid, s_cand, s_u)
-        keep = [c.result is None for c in live]
-        live = [c for c in live if c.result is None]
-        if live:
-            u, v, s_u = u[keep], v[keep], s_u[keep]
+                plan = _Plan([c.cfg.params for c in live])
+                threshold = np.array([c.cfg.blow_threshold for c in live])
+                gather, split = np.array, list
+            if s_u is None:
+                s_u = _accel(mesh, u, plan)
+            while all(c.result is None for c in live):
+                dt, t = [c.next_dt() for c in live], gather([c.t for c in live])
+                try:
+                    cand, s_cand = step(mesh, State(u, v, t), plan, gather(dt), s_u)
+                except StepFailure as exc:
+                    for c, dt_i, fail, u_i, v_i in zip(live, dt, split(exc.cells),
+                                                       split(u), split(v)):
+                        if fail:
+                            c.reject(State(u_i, v_i, c.t), "DtFloor", c.t + dt_i)
+                    continue  # the cells the failed solve spared retry the same step
+                hit = _crossing(mesh, cand, plan, threshold)
+                hits = [None] * len(live) if hit is None else split(hit)
+                for c, dt_i, name, u_i, v_i in zip(live, dt, hits, split(cand.u), split(cand.v)):
+                    # c.t + dt_i is the candidate's t, which step computes the same way
+                    new = State(u_i, v_i, c.t + dt_i)
+                    if name is None:
+                        c.accept(new)
+                    else:  # a detection ends at the candidate whose norms crossed
+                        c.reject(new, name, new.t)
+                if hit is None:
+                    u, v, s_u = cand.u, cand.v, s_cand
+                else:
+                    accept = np.equal(hit, None)
+                    if accept.any():
+                        grid = accept[:, None, None]
+                        u = np.where(grid, cand.u, u)
+                        v = np.where(grid, cand.v, v)
+                        s_u = np.where(grid, s_cand, s_u)
+            keep = [c.result is None for c in live]
+            live = [c for c in live if c.result is None]
+            if live:
+                u, v, s_u = u[keep], v[keep], s_u[keep]
     return [c.result for c in cells]
 
 

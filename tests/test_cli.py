@@ -345,7 +345,6 @@ def test_simulate_config_errors(tmp_path, capsys):
         assert msg in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "overrides, fragment",
     [

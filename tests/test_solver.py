@@ -435,16 +435,29 @@ def test_step_reuses_the_kicks_damping_evaluation(monkeypatch, par, outside):
     assert counts["outside"] == outside * counts["steps"]
 
 
+def steep_config(p, m, dt_min):
+    return SimConfig.from_dict({"params": {"alpha": 1, "m": m, "gamma": 1, "p": p},
+                                "mesh": {"n_r": 17, "n_theta": 16},
+                                "initial_data": {"margin": 1}, "t_end": 20, "dt_min": dt_min})
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("p, m", [(40, 1.5), (60, 1.5), (100, 3)])
+@pytest.mark.parametrize("p, m", [(40, 1.5), (60, 1.5), (100, 3), (100, 1.5)])
 def test_overflowing_candidate_crosses_without_a_warning(p, m):
     """A steep blow-up's candidate overflows the exact norms' squares and
-    powers; that counts as crossed, and no RuntimeWarning leaks."""
-    cfg = SimConfig.from_dict({"params": {"alpha": 1, "m": m, "gamma": 1, "p": p},
-                               "mesh": {"n_r": 17, "n_theta": 16},
-                               "initial_data": {"margin": 1}, "t_end": 20, "dt_min": 1e-7})
-    _, blowup = simulate(cfg)
+    powers, or at p = 100 the source term in step; that counts as crossed,
+    and no RuntimeWarning leaks."""
+    _, blowup = simulate(steep_config(p, m, 1e-7))
     assert blowup.blew_up and blowup.trigger == "LpNorm"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_run_that_ends_on_an_overflowed_candidate_reports_it_without_a_warning():
+    """At a coarse dt_min the run ends on a candidate whose phase norm
+    overflows: PhaseNorm fires, and the final report holds the non-finite E."""
+    _, blowup = simulate(steep_config(100, 1.5, 1e-3))
+    assert blowup.blew_up and blowup.trigger == "PhaseNorm"
+    assert not math.isfinite(blowup.final_report.E)
 
 
 def record_step_dts(monkeypatch) -> list:
@@ -611,6 +624,12 @@ def test_negative_energy_data_refuses_margins_below_rounding():
         assert make_report(mesh, st, SOURCE_PARAMS).E == pytest.approx(-floor, rel=1e-6)
 
 
+def test_negative_energy_data_refuses_an_infinite_margin(mesh):
+    # no finite scale gives E = -inf; refused before the search fails to bracket it
+    with pytest.raises(ValueError, match="margin must be positive and finite, got inf"):
+        negative_energy_data(mesh, SOURCE_PARAMS, "ramp", margin=math.inf)
+
+
 def test_negative_energy_data_errors(mesh):
     with pytest.raises(ValueError, match="margin must be positive"):
         negative_energy_data(mesh, SOURCE_PARAMS, "ramp", margin=0.0)
@@ -700,6 +719,20 @@ def test_config_dt_uses_the_spacing_of_the_mesh_it_runs_on(mesh_args, cfl):
         (dict(params=SOURCE_PARAMS, blow_threshold=1e200), "blow_threshold must be positive with"),
         (dict(params=SOURCE_PARAMS, blow_threshold=1e-200, initial_scale=0.0),
          "blow_threshold must be positive with"),
+        # only numbers, each refused by its keyword: True would count as 1
+        (dict(params=SOURCE_PARAMS, t_end=True), "t_end must be a number, got True"),
+        (dict(params=SOURCE_PARAMS, blow_threshold=True), "blow_threshold must be a number"),
+        (dict(params=SOURCE_PARAMS, initial_scale=True), "initial_scale must be a number or None"),
+        (dict(params=SOURCE_PARAMS, initial_margin=True), "initial_margin must be a number or"),
+        (dict(params=SOURCE_PARAMS, r_inner=True), "r_inner must be a number, got True"),
+        (dict(params=SOURCE_PARAMS, r_outer=True), "r_outer must be a number"),
+        (dict(params=SOURCE_PARAMS, cfl=True), "cfl must be a number or None"),
+        (dict(params=SOURCE_PARAMS, dt_min=True), "dt_min must be a number"),
+        (dict(params=SOURCE_PARAMS, t_end="2"), "t_end must be a number, got '2'"),
+        (dict(params=SOURCE_PARAMS, r_inner="1"), "r_inner must be a number, got '1'"),
+        (dict(params=SOURCE_PARAMS, dt=[0.01]), r"dt must be a number or None, got \[0.01\]"),
+        # no finite scale gives E = -inf
+        (dict(params=SOURCE_PARAMS, initial_margin=math.inf), "margin must be positive and finite"),
     ],
 )
 def test_config_validation(kwargs, pattern):
@@ -1131,7 +1164,6 @@ def test_simulate_rejects_bad_initial_states():
     assert simulate(cfg, initial=good) == simulate(cfg)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e200, 1e4])
 def test_simulate_rejects_initial_data_past_the_monitors(scale):
     """Data that already crosses a monitor is an error, not a blow-up
