@@ -21,8 +21,10 @@
 # PhaseNorm blow-up with nulls in its final report); seven ClassifyAndSimulate
 # scans, two of them on an alpha or beta axis over linear-damping cells and
 # one from a --params-file whose m a --m flag overrides, so m_tilde
-# re-derives on its m axis; three `classify` lines, one from a
-# --params-file with a flag over one of its keys; seven `oracle` queries:
+# re-derives on its m axis; one refused ClassifyAndSimulate scan, whose
+# first simulated cell (p = 2.001) has no negative-energy data, with its
+# error and exit code 2 recorded in stdout.txt; three `classify` lines, one
+# from a --params-file with a flag over one of its keys; seven `oracle` queries:
 # two plain ones, l near 1 (1.05), a huge psi0 (1e300), three
 # trajectories (one with --threshold 1e3, one with c > 0 and psi0 near the
 # edge c^(1/l) but inside blowup_time's conditioning guard), and the
@@ -132,6 +134,8 @@ JSON
 # --m 3 overrides the file's m, so m_tilde is the default 2 and re-derives
 # on the m axis, down to m = 1.5
 scan scan_file.csv --params-file scan_params.json --m 3 --axis1 p:3:5:3 --axis2 m:1.5:3:4
+scan scan_refused.csv --gamma 1 --alpha 1 --m 2 --axis1 p:2.001:4:3 --axis2 a:0:0.5:2 \
+    2>>stdout.txt || echo "exit $?" >>stdout.txt
 
 kwlab classify --gamma 1 --p 4 --alpha 1 --m 2
 kwlab classify --gamma 1 --p 3 --alpha 1 --m 4

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import oracle as oracle_mod
 from . import regimes, solver
 from .functionals import REPORT_COLUMNS, EnergyReport
-from .model import ModelParams
+from .model import ModelParams, _is_number
 
 __all__ = [
     "SCAN_MODES",
@@ -103,8 +103,8 @@ SCAN_MODES = ("ClassifyOnly", "ClassifyAndSimulate")
 class ScanSpec:
     """Two-axis parameter sweep around a base parameter record.  An axis's
     steps is an integer >= 2 (an integral float is taken as its int), and
-    its bounds are finite.  ClassifyAndSimulate needs N = 2 in every cell:
-    a base with N = 2 and no N axis."""
+    its bounds are finite numbers.  ClassifyAndSimulate needs N = 2 in every
+    cell: a base with N = 2 and no N axis."""
 
     base: ModelParams
     axis1: tuple[str, float, float, int]  # (field, lo, hi, steps)
@@ -117,8 +117,10 @@ class ScanSpec:
             name, lo, hi, steps = getattr(self, field)
             if name not in names:
                 raise ValueError(f"axis on a non-existent field {name!r}")
-            if isinstance(steps, bool) or not float(steps).is_integer() or steps < 2:
+            if not _is_number(steps) or not float(steps).is_integer() or steps < 2:
                 raise ValueError(f"axis steps must be an integer >= 2, got {steps!r}")
+            if not (_is_number(lo) and _is_number(hi)):
+                raise ValueError(f"{field} bounds must be numbers, got {lo!r} and {hi!r}")
             if not -math.inf < lo <= hi < math.inf:
                 raise ValueError(f"axis range must be finite and nonempty: [{lo}, {hi}]")
             object.__setattr__(self, field, (name, lo, hi, int(steps)))
@@ -175,7 +177,13 @@ def run_scan(spec: ScanSpec, out_path: str | Path) -> Path:
     vals2 = _axis_values(spec.axis2)
     cells = [(v1, v2) for v1 in vals1 for v2 in vals2]
     results = [_scan_cell(spec, v1, v2) for v1, v2 in cells]
-    runs = iter(solver.simulate_batch([cfg for _, cfg in results if cfg is not None]))
+    simulated = [(cell, cfg) for cell, (_, cfg) in zip(cells, results) if cfg is not None]
+    try:
+        runs = iter(solver.simulate_batch([cfg for _, cfg in simulated]))
+    except ValueError as exc:  # a cell's initial state is refused: name the cell
+        v1, v2 = simulated[exc.cell][0]
+        raise ValueError(f"cell {spec.axis1[0]}={fmt_csv_float(v1)}, "
+                         f"{spec.axis2[0]}={fmt_csv_float(v2)}: {exc}") from exc
 
     header = [spec.axis1[0], spec.axis2[0], "verdict", "fired"]
     simulating = spec.mode == "ClassifyAndSimulate"

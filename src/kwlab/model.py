@@ -102,8 +102,9 @@ class ModelParams:
         bad = set(doc) - set(cls.field_names())
         if bad:
             raise ValueError(f"unknown model parameters: {sorted(bad)}")
-        _check_json_values(doc, "model parameter", nullable={"m_tilde", "mu_tilde"},
-                           integers={"N"})
+        kinds = {"N": "integer", "m_tilde": "number or null", "mu_tilde": "number or null"}
+        for key, value in doc.items():
+            _check_json_value("model parameter", key, value, kinds.get(key, "number"))
         return cls(**doc)
 
     @staticmethod
@@ -120,27 +121,21 @@ class ModelParams:
 
 def _is_number(value) -> bool:
     """Whether `value` is a real number and not a boolean: what "a number"
-    means to the JSON documents and to SimConfig."""
+    means to the JSON documents and to SimConfig, ScanSpec and OdeProblem."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _check_json_values(doc: dict, what: str, nullable=(), strings=(), integers=()) -> None:
-    """Refuse a JSON value of the wrong kind, naming its key: a key in `strings`
-    holds a string, every other key a number (not a boolean), and null is
-    allowed only for a key in `nullable`, whose constructor default is None.
-    The message calls a number "an integer" for a key in `integers`; whether
-    the value is integral is the constructor's rule."""
-    for key, value in doc.items():
-        if value is None and key in nullable:
-            continue
-        if key in strings:
-            kind, ok = "a string", isinstance(value, str)
-        else:
-            kind = "an integer" if key in integers else "a number"
-            ok = _is_number(value)
-        if not ok:
-            also = " or null" if key in nullable else ""
-            raise ValueError(f"{what} {key} must be {kind}{also}, got {value!r}")
+def _check_json_value(what: str, key: str, value, kind: str) -> None:
+    """Refuse a value of the wrong kind, naming its key as the JSON document
+    does ("config key t_end must be a number, got '2'").  kind is "number",
+    "integer" or "string", followed by " or null" when None (null) is allowed,
+    for a keyword whose default is None.  An integer is checked as a number
+    here; whether it is integral is the constructor's rule."""
+    if value is None and kind.endswith(" or null"):
+        return
+    if not (isinstance(value, str) if kind.startswith("string") else _is_number(value)):
+        article = "an" if kind.startswith("integer") else "a"
+        raise ValueError(f"{what} {key} must be {article} {kind}, got {value!r}")
 
 
 # NumPy's ** evaluates these scalar exponents by reciprocal, ones, sqrt,

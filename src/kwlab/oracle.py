@@ -45,6 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .model import _is_number
+
 __all__ = ["OdeProblem", "blowup_time", "integrate_comparison"]
 
 _TOL = 1e-10  # absolute tolerance on T_m
@@ -52,14 +54,17 @@ _TOL = 1e-10  # absolute tolerance on T_m
 
 @dataclass(frozen=True)
 class OdeProblem:
-    """y' = |y|^l - c with y(0) = psi0; requires finite l > 1, a finite
-    c >= 0 and a finite psi0 > c^(1/l) (strict)."""
+    """y' = |y|^l - c with y(0) = psi0; requires numbers (not booleans):
+    finite l > 1, a finite c >= 0 and a finite psi0 > c^(1/l) (strict)."""
 
     l: float
     c: float
     psi0: float
 
     def __post_init__(self):
+        for name, value in (("l", self.l), ("c", self.c), ("psi0", self.psi0)):
+            if not _is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 1 < self.l < math.inf:
             raise ValueError(f"l must exceed 1 and be finite, got {self.l}")
         if not 0 <= self.c < math.inf:

@@ -77,7 +77,7 @@ import numpy as np
 from . import functionals, geometry
 from .functionals import EnergyReport, State, make_report
 from .geometry import AnnulusMesh, build_annulus
-from .model import ModelParams, _Plan, _check_json_values, _is_number
+from .model import ModelParams, _Plan, _check_json_value
 
 __all__ = [
     "StepFailure",
@@ -398,10 +398,17 @@ def step(
 # simulation driver
 
 
-# SimConfig's keywords that take a real number; the optional ones default to None
-_REAL_KEYWORDS = ("r_inner", "r_outer", "cfl", "dt", "t_end", "dt_min", "blow_threshold",
-                  "initial_scale", "initial_margin")
-_OPTIONAL_KEYWORDS = ("cfl", "dt", "initial_scale", "initial_margin")
+# Each SimConfig keyword once, by JSON section ("config": the top level, last
+# as it holds what the others leave): the prefix that makes a key its keyword,
+# and each key's kind, "or null" where None (its default) is allowed
+_KEYWORDS = {
+    "mesh": ("", {"r_inner": "number", "r_outer": "number", "n_r": "integer",
+                  "n_theta": "integer"}),
+    "initial_data": ("initial_", {"profile": "string", "mode": "string or null",
+                                  "scale": "number or null", "margin": "number or null"}),
+    "config": ("", {"cfl": "number or null", "dt": "number or null", "t_end": "number",
+                    "dt_min": "number", "blow_threshold": "number", "report_every": "integer"}),
+}
 
 
 @dataclass
@@ -433,12 +440,17 @@ class SimConfig:
     initial_margin: float | None = None
 
     def __post_init__(self, cfl):
-        # numbers only: True would pass as 1, and a string fail later naming no field
-        for name in _REAL_KEYWORDS:
-            value = cfl if name == "cfl" else getattr(self, name)
-            if not (_is_number(value) or value is None and name in _OPTIONAL_KEYWORDS):
-                also = " or None" if name in _OPTIONAL_KEYWORDS else ""
-                raise ValueError(f"{name} must be a number{also}, got {value!r}")
+        # kinds first, named as in the JSON document: True would pass as 1, and
+        # a string fail later naming no keyword; an integer is stored as an int
+        for section, (prefix, kinds) in _KEYWORDS.items():
+            what = section + " key"
+            for key, kind in kinds.items():
+                value = cfl if key == "cfl" else getattr(self, prefix + key)
+                _check_json_value(what, key, value, kind)
+                if kind == "integer":
+                    if not float(value).is_integer():
+                        raise ValueError(f"{key} must be an integer, got {value}")
+                    setattr(self, prefix + key, int(value))
         if self.params.N != 2:
             raise ValueError(f"the simulator is two-dimensional; N=2 required, got N={self.params.N}")
         dr, dtheta = geometry.mesh_spacing(self.r_inner, self.r_outer, self.n_r, self.n_theta)
@@ -469,12 +481,8 @@ class SimConfig:
                 "blow_threshold must be positive with a square that is a normal float "
                 f"(about 1.5e-154 to 1.3e154), got {threshold}"
             )
-        every = self.report_every
-        if isinstance(every, bool) or not float(every).is_integer():
-            raise ValueError(f"report_every must be an integer, got {every!r}")
-        if every < 1:
-            raise ValueError(f"report_every must be >= 1, got {every}")
-        self.report_every = int(every)
+        if self.report_every < 1:
+            raise ValueError(f"report_every must be >= 1, got {self.report_every}")
         if self.initial_profile not in PROFILES:
             raise ValueError(
                 f"unknown profile {self.initial_profile!r}; choose from {PROFILES}"
@@ -497,11 +505,10 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
-        """Build from a JSON-style document.  Only its shape and value kinds
-        are checked here (objects where objects belong, no unknown keys,
-        strings for profile and mode, numbers elsewhere, null only where the
-        keyword defaults to None); each key maps to one constructor keyword,
-        and the constructor applies every value rule."""
+        """Build from a JSON-style document.  Only its shape is checked here
+        (objects where objects belong, a params object, no unknown keys); each
+        key maps to its keyword by _KEYWORDS, and the constructor checks
+        every value."""
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
         doc = dict(doc)
@@ -509,22 +516,13 @@ class SimConfig:
         if not isinstance(params_doc, dict):
             raise ValueError("config requires a 'params' object")
         kwargs = {"params": ModelParams.from_dict(params_doc)}
-        # section (None: the top level) -> its keys, the keyword prefix
-        for section, (prefix, keys) in {
-            "mesh": ("", {"r_inner", "r_outer", "n_r", "n_theta"}),
-            "initial_data": ("initial_", {"profile", "mode", "scale", "margin"}),
-            None: ("", {"cfl", "dt", "t_end", "dt_min", "blow_threshold", "report_every"}),
-        }.items():
-            part = doc if section is None else doc.pop(section, {})
+        for section, (prefix, kinds) in _KEYWORDS.items():
+            part = doc if section == "config" else doc.pop(section, {})
             if not isinstance(part, dict):
                 raise ValueError(f"'{section}' must be an object")
-            bad = set(part) - keys
+            bad = set(part) - set(kinds)
             if bad:
-                raise ValueError(f"unknown {section or 'config'} keys: {sorted(bad)}")
-            _check_json_values(part, f"{section or 'config'} key",
-                               nullable={"cfl", "dt", "scale", "margin", "mode"},
-                               strings={"profile", "mode"},
-                               integers={"n_r", "n_theta", "report_every"})
+                raise ValueError(f"unknown {section} keys: {sorted(bad)}")
             kwargs.update((prefix + key, value) for key, value in part.items())
         return cls(**kwargs)
 
@@ -709,8 +707,10 @@ def simulate_batch(
     stack (see _run_stack); each cell's result is bitwise the one simulate
     gives it alone.  `initials` overrides the configured initial data cell by
     cell (None keeps it).  Every initial state, configured or supplied,
-    passes the same checks before any cell steps, and ValueError names the
-    first bad cell in config order: one whose state does not have the mesh's
+    passes the same checks before any cell steps.  The first bad cell in
+    config order raises the ValueError simulate would raise for it alone,
+    with the cell's index in cfgs as its `cell` attribute: a cell whose
+    configured data cannot be built, or whose state does not have the mesh's
     shape, is nonzero on the pinned circle, has a t that is not finite or not
     below t_end (by _before_end, the end test of an accepted step, so every
     run takes a step) or so large in magnitude that t + dt_min rounds to t
@@ -726,20 +726,24 @@ def simulate_batch(
         if shape not in meshes:
             meshes[shape] = build_annulus(*shape)
         mesh = meshes[shape]
-        if initial is None:
-            initial = initial_state(mesh, cfg.params, cfg)
-        initial = functionals._check_state(mesh, initial, "initial", stack=False)
-        if initial.u[0].any() or initial.v[0].any():
-            raise ValueError(f"initial u and v must have shape {shape[2:]} and be "
-                             "zero on the pinned circle (row 0)")
-        t = initial.t
-        if not (-math.inf < t and _before_end(cfg, t)) or t + cfg.dt_min == t:
-            raise ValueError(f"initial t must be finite and below t_end={cfg.t_end}, and "
-                             f"t + dt_min must exceed t (dt_min={cfg.dt_min}), got {t}")
-        hit = _crossing(mesh, initial, cfg.params._plan, cfg.blow_threshold)
-        if hit is not None:
-            raise ValueError(f"initial data already crosses the {hit} monitor "
-                             f"(blow_threshold={cfg.blow_threshold})")
+        try:
+            if initial is None:
+                initial = initial_state(mesh, cfg.params, cfg)
+            initial = functionals._check_state(mesh, initial, "initial", stack=False)
+            if initial.u[0].any() or initial.v[0].any():
+                raise ValueError(f"initial u and v must have shape {shape[2:]} and be "
+                                 "zero on the pinned circle (row 0)")
+            t = initial.t
+            if not (-math.inf < t and _before_end(cfg, t)) or t + cfg.dt_min == t:
+                raise ValueError(f"initial t must be finite and below t_end={cfg.t_end}, and "
+                                 f"t + dt_min must exceed t (dt_min={cfg.dt_min}), got {t}")
+            hit = _crossing(mesh, initial, cfg.params._plan, cfg.blow_threshold)
+            if hit is not None:
+                raise ValueError(f"initial data already crosses the {hit} monitor "
+                                 f"(blow_threshold={cfg.blow_threshold})")
+        except ValueError as exc:
+            exc.cell = i
+            raise
         states.append(initial)
         # the plan's key decides the kernels' branches; lin follows from it
         stacks.setdefault((shape, cfg.params._plan.key), []).append(i)

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -521,6 +522,25 @@ def test_scan_simulates_in_grid_order_across_stacks(tmp_path):
     assert simulated >= 4
 
 
+@pytest.mark.parametrize("axis1, cell", [("p:2.001:4:3", "p=2.001, a=0"),
+                                         ("p:2.05:4:2", "p=2.05, a=0")])
+def test_scan_names_the_cell_whose_initial_state_is_refused(tmp_path, capsys, axis1, cell):
+    """The first cell whose negative-energy data cannot be built stops the
+    scan (exit 2, no CSV) with simulate's message for it, after the cell's
+    axis values as the CSV prints them."""
+    out = tmp_path / "d.csv"
+    argv = ["scan", "--gamma", "1", "--alpha", "1", "--m", "2", "--axis1", axis1,
+            "--axis2", "a:0:0.5:2", "--mode", "ClassifyAndSimulate", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+    spec = cli.ScanSpec(ModelParams(gamma=1.0, alpha=1.0, m=2.0), cli._parse_axis(axis1),
+                        ("a", 0.0, 0.5, 2), mode="ClassifyAndSimulate")
+    _, cfg = cli._scan_cell(spec, spec.axis1[1], 0.0)
+    with pytest.raises(ValueError) as alone:
+        cli.solver.simulate(cfg)
+    assert capsys.readouterr().err == f"error: cell {cell}: {alone.value}\n"
+
+
 def test_scan_axis_validation(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     bad_axes = [
@@ -577,6 +597,16 @@ def test_scan_spec_refuses_axes_run_scan_cannot_run(axis, message):
     """A fractional or nan steps used to construct and then fail in
     run_scan with a TypeError, and an infinite bound built nan cells."""
     with pytest.raises(ValueError, match=message):
+        cli.ScanSpec(ModelParams(gamma=1.0, p=4), axis, ("m", 2.0, 3.0, 2))
+
+
+@pytest.mark.parametrize("axis, message", [
+    (("p", "3", 4.0, 2), "axis1 bounds must be numbers, got '3' and 4.0"),
+    (("p", 3.0, True, 2), "axis1 bounds must be numbers, got 3.0 and True"),
+    (("p", 3.0, 4.0, "2"), "axis steps must be an integer >= 2, got '2'"),
+])
+def test_scan_spec_takes_only_numbers(axis, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         cli.ScanSpec(ModelParams(gamma=1.0, p=4), axis, ("m", 2.0, 3.0, 2))
 
 

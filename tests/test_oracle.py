@@ -57,6 +57,17 @@ def test_problem_validation():
             OdeProblem(l=2.0, c=c, psi0=2.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(l=2, c=True, psi0=2), "c must be a number, got True"),
+    (dict(l="2", c=0, psi0=2), "l must be a number, got '2'"),
+    (dict(l=2, c=0, psi0=[2]), "psi0 must be a number, got [2]"),
+])
+def test_problem_takes_only_numbers(kwargs, message):
+    with pytest.raises(ValueError) as caught:
+        OdeProblem(**kwargs)
+    assert str(caught.value) == message
+
+
 def test_integrate_validation():
     prob = OdeProblem(l=2.0, c=0.0, psi0=5.0)
     for threshold in (5.0, math.inf, math.nan):

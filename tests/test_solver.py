@@ -1,5 +1,6 @@
 """Time stepper and simulation driver."""
 import dataclasses
+import inspect
 import math
 import re
 
@@ -722,15 +723,15 @@ def test_config_dt_uses_the_spacing_of_the_mesh_it_runs_on(mesh_args, cfl):
         # only numbers, each refused by its keyword: True would count as 1
         (dict(params=SOURCE_PARAMS, t_end=True), "t_end must be a number, got True"),
         (dict(params=SOURCE_PARAMS, blow_threshold=True), "blow_threshold must be a number"),
-        (dict(params=SOURCE_PARAMS, initial_scale=True), "initial_scale must be a number or None"),
-        (dict(params=SOURCE_PARAMS, initial_margin=True), "initial_margin must be a number or"),
+        (dict(params=SOURCE_PARAMS, initial_scale=True), "initial_data key scale must be a number or null"),
+        (dict(params=SOURCE_PARAMS, initial_margin=True), "initial_data key margin must be a number or null"),
         (dict(params=SOURCE_PARAMS, r_inner=True), "r_inner must be a number, got True"),
         (dict(params=SOURCE_PARAMS, r_outer=True), "r_outer must be a number"),
-        (dict(params=SOURCE_PARAMS, cfl=True), "cfl must be a number or None"),
+        (dict(params=SOURCE_PARAMS, cfl=True), "config key cfl must be a number or null"),
         (dict(params=SOURCE_PARAMS, dt_min=True), "dt_min must be a number"),
         (dict(params=SOURCE_PARAMS, t_end="2"), "t_end must be a number, got '2'"),
         (dict(params=SOURCE_PARAMS, r_inner="1"), "r_inner must be a number, got '1'"),
-        (dict(params=SOURCE_PARAMS, dt=[0.01]), r"dt must be a number or None, got \[0.01\]"),
+        (dict(params=SOURCE_PARAMS, dt=[0.01]), r"config key dt must be a number or null, got \[0.01\]"),
         # no finite scale gives E = -inf
         (dict(params=SOURCE_PARAMS, initial_margin=math.inf), "margin must be positive and finite"),
     ],
@@ -815,6 +816,48 @@ def test_config_from_dict_takes_only_numbers(extra, pattern):
     nulls = {"cfl": None, "dt": None,
              "initial_data": {"mode": None, "scale": None, "margin": None}}
     assert SimConfig.from_dict({**doc, **nulls}) == SimConfig.from_dict(doc)
+
+
+# every SimConfig keyword with its JSON section and key
+CONFIG_KEYS = [
+    ("r_inner", "mesh", "r_inner"), ("r_outer", "mesh", "r_outer"), ("n_r", "mesh", "n_r"),
+    ("n_theta", "mesh", "n_theta"), ("initial_profile", "initial_data", "profile"),
+    ("initial_mode", "initial_data", "mode"), ("initial_scale", "initial_data", "scale"),
+    ("initial_margin", "initial_data", "margin"), ("cfl", "config", "cfl"),
+    ("dt", "config", "dt"), ("t_end", "config", "t_end"), ("dt_min", "config", "dt_min"),
+    ("blow_threshold", "config", "blow_threshold"),
+    ("report_every", "config", "report_every"),
+]
+
+
+@pytest.mark.parametrize("value", [True, "1", [1]], ids=["true", "string", "list"])
+@pytest.mark.parametrize("keyword, section, key", CONFIG_KEYS)
+def test_every_config_keyword_refuses_a_value_of_the_wrong_kind(keyword, section, key, value):
+    """Built directly or from a document, the error names the key as the
+    document does.  A string is the right kind for profile and mode, so
+    there the value rule refuses it, naming the key too."""
+    doc = {"params": {"gamma": 1.0, "p": 4}}
+    doc.update({key: value} if section == "config" else {section: {key: value}})
+    right_kind = isinstance(value, str) and key in ("profile", "mode")
+    pattern = rf"\b{key}\b" if right_kind else rf"^{section} key {key} must be an? "
+    with pytest.raises(ValueError, match=pattern):
+        SimConfig(params=SOURCE_PARAMS, **{keyword: value})
+    with pytest.raises(ValueError, match=pattern):
+        SimConfig.from_dict(doc)
+
+
+def test_config_keyword_table_covers_each_keyword_once():
+    """_KEYWORDS holds every constructor keyword but params (the dataclass
+    fields and the cfl InitVar) exactly once."""
+    table = [prefix + key for prefix, kinds in solver._KEYWORDS.values() for key in kinds]
+    keywords = [name for name in inspect.signature(SimConfig).parameters if name != "params"]
+    assert "cfl" in keywords and sorted(table) == sorted(keywords)
+
+
+def test_config_stores_integral_floats_as_ints():
+    cfg = SimConfig(params=SOURCE_PARAMS, n_r=33.0, n_theta=32.0, report_every=5.0)
+    assert (cfg.n_r, cfg.n_theta, cfg.report_every) == (33, 32, 5)
+    assert all(type(x) is int for x in (cfg.n_r, cfg.n_theta, cfg.report_every))
 
 
 # ---------------------------------------------------------------------------
@@ -1209,6 +1252,13 @@ def test_a_batch_reports_its_first_bad_cell_in_config_order():
         simulate_batch([hot, calm], [None, wrong])
     with pytest.raises(ValueError, match="initial u and v must have shape"):
         simulate_batch([calm, hot], [wrong, None])
+    # the error is simulate's for that cell alone, with the cell's index
+    with pytest.raises(ValueError) as caught:
+        simulate_batch([calm, calm, hot, calm], [None, None, None, wrong])
+    assert caught.value.cell == 2
+    with pytest.raises(ValueError) as alone:
+        simulate(hot)
+    assert str(caught.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("calm, t", [
