@@ -8,7 +8,8 @@
 #
 # Every command runs inside OUT_DIR with relative paths, so the echoed
 # output paths in stdout.txt compare too.  The set: `simulate` of the c06
-# record (report_every 1, dt_min 1e-5), a Newton-kick record, a
+# record (report_every 1, dt_min 1e-5), the same on one column (n_theta 1,
+# the radial mesh, c06_column), a Newton-kick record, a
 # boundary-only Newton record, a linear record with unequal weights, the
 # 129x128 calm run, one run each with an explicit dt and with cfl 0.3
 # (the two ways to set the step size), one on radii 1..3 with
@@ -114,10 +115,11 @@ cat >steep.json <<'JSON'
  "initial_data": {"margin": 1.0},
  "t_end": 20.0, "dt_min": 1e-7}
 JSON
+sed 's/"n_theta": 32/"n_theta": 1/' c06.json >c06_column.json
 sed 's/"p": 40.0/"p": 100.0/' steep.json >steep100.json
 sed 's/"dt_min": 1e-7/"dt_min": 1e-3/' steep100.json >steep100_coarse.json
-for run in c06 newton boundary_newton linear fine dt cfl radii undamped boundary_source steep \
-           steep100 steep100_coarse; do
+for run in c06 c06_column newton boundary_newton linear fine dt cfl radii undamped \
+           boundary_source steep steep100 steep100_coarse; do
     kwlab simulate "$run.json" "$run"
 done
 

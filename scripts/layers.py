@@ -4,12 +4,15 @@
 
 Imports kwlab from this checkout's src/ and times, with timeit, each kernel
 on the c06 record (gamma = 1, p = 4, alpha = 1, m = 2) over radii 1..2 at
-17x16, 33x32, 65x64 and 129x128, and on a stack of 16 such 17x16 cells.
-The state is the record's negative-energy ramp data (margin 1) after five
-steps, so u and v are both nonzero; the stack's cells are that state scaled
-by 1, 1.01, ..., 1.15.  Each kernel runs NUMBER times per repeat, and the
-least of REPEAT repeats is printed in microseconds per call; one untimed
-pass over every kernel runs first, so the first column pays no warm-up.
+17x16, 33x32, 65x64, 129x128 and 17x1, and on stacks of 16 such 17x16 and
+17x1 cells.  17x1 is the one-column (radial) mesh that scan's cells run on;
+its columns give the kernels' per-call overhead at width 1, where almost no
+time goes to arithmetic.  The state is the record's negative-energy ramp
+data (margin 1) after five steps, so u and v are both nonzero; a stack's
+cells are that state scaled by 1, 1.01, ..., 1.15.  Each kernel runs NUMBER
+times per repeat, and the least of REPEAT repeats is printed in
+microseconds per call; one untimed pass over every kernel runs first, so
+the first column pays no warm-up.
 
   laplacian, laplace_beltrami, gradient_energy   the geometry operators (the
                                                  trace for laplace_beltrami)
@@ -62,8 +65,8 @@ from kwlab.functionals import State, make_report  # noqa: E402
 from kwlab.model import ModelParams  # noqa: E402
 
 PARAMS = ModelParams(gamma=1.0, p=4.0, alpha=1.0, m=2.0)
-GRIDS = [(17, 16), (33, 32), (65, 64), (129, 128)]
-STACK = 16
+GRIDS = [(17, 16), (33, 32), (65, 64), (129, 128), (17, 1)]
+STACK, STACK_GRIDS = 16, [(17, 16), (17, 1)]
 RECORD = dict(N=5, a=0.6, b=0.3, alpha=1.2, beta=0.8, gamma=1.5, delta=0.4, m=3.1, mu=4.2,
               m_tilde=1.5, mu_tilde=1.7, p=3.3, q=4.4)
 QUERY = oracle.OdeProblem(l=2.5, c=2.0, psi0=2.5)
@@ -122,7 +125,7 @@ def main(argv=None):
     if args.repeat < 1 or args.number < 1:
         ap.error("--repeat and --number must be at least 1")
     columns = [case(n_r, n_theta, None) for n_r, n_theta in GRIDS]
-    columns.append(case(*GRIDS[0], STACK))
+    columns += [case(n_r, n_theta, STACK) for n_r, n_theta in STACK_GRIDS]
     calls = [(label, kernels(mesh, state, plan, dt)) for label, mesh, state, plan, dt in columns]
     for _, row in calls:
         for call in row.values():

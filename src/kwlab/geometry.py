@@ -9,7 +9,9 @@ Laplacian.
 Grid: uniform in r (n_r nodes, both boundary circles included) and uniform,
 periodic in theta (n_theta nodes).  Interior fields are (n_r, n_theta) arrays
 with row 0 on the pinned circle and row n_r-1 on the free circle; boundary
-traces are (n_theta,) arrays.
+traces are (n_theta,) arrays.  n_theta = 1 is the radial mesh: its theta
+differences are exactly zero, so a run on it is the 2-D run of its radial
+data, every row bit for bit; only the quadratures' sums differ, at rounding.
 
 Every operator and quadrature also takes a stack of fields with a leading
 cell axis, (n_cells, n_r, n_theta) or (n_cells, n_theta), and treats each
@@ -65,7 +67,9 @@ class AnnulusMesh:
         Radii of the pinned (inner) and free (outer) circles.
     n_r, n_theta : int
         Node counts; radial nodes at r_i = r_inner + i*dr, angular nodes at
-        theta_j = j*dtheta (periodic).
+        theta_j = j*dtheta (periodic).  n_theta = 1 holds radial data: a run
+        on it is the 2-D run of that data, with quadrature sums that differ
+        only at rounding (see the module docstring).
     interior_weights : (n_r, n_theta) array
         Trapezoid-in-r x periodic-trapezoid-in-theta weights for the area
         element r dr dtheta.  Exact for integrands linear in r per theta
@@ -140,11 +144,12 @@ def mesh_spacing(r_inner: float, r_outer: float, n_r: int, n_theta: int) -> tupl
         raise ValueError(
             f"radii must satisfy r_inner < r_outer < inf ({r_inner}, {r_outer})"
         )
-    for name, value, least in (("n_r", n_r, 3), ("n_theta", n_theta, 8)):
-        if not float(value).is_integer():
+    for name, value, least, rule in (("n_r", n_r, 3, "at least 3"),
+                                     ("n_theta", n_theta, 8, "1 (radial) or at least 8")):
+        if isinstance(value, bool) or not float(value).is_integer():  # float(True) is 1.0
             raise ValueError(f"{name} must be an integer, got {value}")
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
+        if value < least and not (name == "n_theta" and value == 1):
+            raise ValueError(f"{name} must be {rule}, got {value}")
     return (float(r_outer) - float(r_inner)) / (int(n_r) - 1), 2.0 * np.pi / int(n_theta)
 
 

@@ -340,7 +340,7 @@ def test_simulate_config_errors(tmp_path, capsys):
     assert "n_r must be an integer" in capsys.readouterr().err
     # below the mesh's bounds: rejected before dr and dtheta divide by zero
     for mesh, msg in (({"n_r": 1}, "n_r must be at least 3"),
-                      ({"n_theta": 0}, "n_theta must be at least 8")):
+                      ({"n_theta": 0}, "n_theta must be 1 (radial) or at least 8, got 0")):
         cfg = write_sim_config(tmp_path / "small.json", mesh=mesh)
         assert cli.main(["simulate", str(cfg), str(tmp_path / "o")]) == 2
         assert msg in capsys.readouterr().err
@@ -496,6 +496,34 @@ def test_scan_simulation_mode_and_determinism(tmp_path):
     for ln in lines[1:]:
         if "BlowsUpForNegativeEnergy" not in ln:
             assert ln.endswith(",")
+
+
+def test_scan_cells_on_one_column_write_the_17x16_csv(tmp_path, monkeypatch):
+    """A scan simulates its cells on 17x1, the radial data's exact reduction
+    of 17x16: on a two-source p x q grid and an interior p x m grid, the
+    ClassifyAndSimulate CSV is byte for byte the one 17x16 cells write."""
+    specs = [
+        cli.ScanSpec(ModelParams(alpha=1.0, beta=1.0, gamma=1.0, delta=1.0),
+                     ("p", 3.0, 5.0, 4), ("q", 3.0, 5.0, 4), mode="ClassifyAndSimulate"),
+        cli.ScanSpec(ModelParams(alpha=1.0, beta=1.0, b=0.5, gamma=1.0),
+                     ("p", 3.0, 5.0, 4), ("m", 2.0, 3.0, 4), mode="ClassifyAndSimulate"),
+    ]
+    one_column = [cli.run_scan(spec, tmp_path / f"one{i}.csv").read_bytes()
+                  for i, spec in enumerate(specs)]
+    scan_cell = cli._scan_cell
+
+    def on_17x16(spec, v1, v2):
+        verdict, cfg = scan_cell(spec, v1, v2)
+        if cfg is None:
+            return verdict, None
+        assert (cfg.n_r, cfg.n_theta) == (17, 1)
+        return verdict, dataclasses.replace(cfg, n_theta=16)
+
+    monkeypatch.setattr(cli, "_scan_cell", on_17x16)
+    assert [cli.run_scan(spec, tmp_path / f"two{i}.csv").read_bytes()
+            for i, spec in enumerate(specs)] == one_column
+    rows = b"".join(one_column).decode().splitlines()
+    assert sum(row.endswith(",true") for row in rows) == 31  # p = m = 3 is global
 
 
 def test_scan_simulates_in_grid_order_across_stacks(tmp_path):

@@ -357,7 +357,10 @@ def test_report_agrees_exactly_with_functionals_and_monitor(small_mesh, par):
 # the monitor's max-norm bounds
 
 
-BOUND_MESHES = [build_annulus(1.0, 2.0, 5, 8), build_annulus(0.5, 3.0, 9, 16)]
+# the one-column meshes' angular and circle forms are exact zeros, which
+# the bound's face-weight sums g_a and g_c still count
+BOUND_MESHES = [build_annulus(1.0, 2.0, 5, 8), build_annulus(0.5, 3.0, 9, 16),
+                build_annulus(1.0, 2.0, 5, 1), build_annulus(0.5, 3.0, 9, 1)]
 EXPONENTS = hs.one_of(hs.sampled_from([2.0, 3.0, 4.0]), hs.floats(2.0, 8.0))
 
 

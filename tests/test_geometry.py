@@ -46,6 +46,13 @@ def test_mesh_spacing(mesh):
         ((1.0, math.inf, 33, 64), "r_outer < inf"),
         ((1.0, 2.0, 33.7, 64), "n_r must be an integer"),
         ((1.0, 2.0, 33, math.nan), "n_theta must be an integer"),
+        ((1.0, 2.0, 33, 0), r"n_theta must be 1 \(radial\) or at least 8, got 0$"),
+        ((1.0, 2.0, 33, 2), r"n_theta must be 1 \(radial\) or at least 8, got 2$"),
+        ((1.0, 2.0, 33, 7.0), r"n_theta must be 1 \(radial\) or at least 8, got 7.0$"),
+        # float(True) is 1.0, which is the one-column mesh's n_theta
+        ((1.0, 2.0, 17, True), "n_theta must be an integer, got True$"),
+        ((1.0, 2.0, 17, False), "n_theta must be an integer, got False$"),
+        ((1.0, 2.0, True, 16), "n_r must be an integer, got True$"),
     ],
 )
 def test_bad_mesh_arguments(args, fragment):
@@ -53,6 +60,18 @@ def test_bad_mesh_arguments(args, fragment):
         build_annulus(*args)
     with pytest.raises(ValueError, match=fragment):
         G.mesh_spacing(*args)
+
+
+@pytest.mark.parametrize("n_theta", [1, 1.0, np.int64(1)])
+def test_one_column_mesh(n_theta):
+    """n_theta = 1 is the radial mesh: one angular node at theta = 0 with
+    dtheta = 2 pi, so the free circle's one weight is its whole length."""
+    m = build_annulus(1.0, 2.0, 17, n_theta)
+    assert type(m.n_theta) is int and m.n_theta == 1
+    assert G.mesh_spacing(1.0, 2.0, 17, n_theta) == (1.0 / 16, 2.0 * math.pi)
+    assert m.theta.tolist() == [0.0]
+    assert m.interior_weights.shape == (17, 1) and m.boundary_weights.tolist() == [4.0 * math.pi]
+    assert m.interior_weights.sum() == pytest.approx(3.0 * math.pi, rel=1e-13)
 
 
 def test_weight_totals(mesh):
@@ -217,7 +236,7 @@ def layouts(u):
 # threshold, and the stack below is then 16x129x128.  On radii 0.5..1 every
 # dr = 1/(2(n_r - 1)) is a power of two, so the kernels multiply by 1/dr; on
 # 1..2.7 it is not, so they divide
-@pytest.mark.parametrize("n_r, n_theta", [(17, 16), (33, 32), (9, 9), (129, 128)])
+@pytest.mark.parametrize("n_r, n_theta", [(17, 16), (33, 32), (9, 9), (129, 128), (17, 1), (9, 1)])
 def test_operators_bitwise_equal_roll_formulas(n_r, n_theta):
     rng = np.random.default_rng(n_r * 100 + n_theta)
     for m in (build_annulus(0.5, 1.0, n_r, n_theta), build_annulus(1.0, 2.7, n_r, n_theta)):
@@ -281,6 +300,25 @@ def test_operators_keep_the_bits_of_edge_values(radii, n_r, exact):
             assert bits(G.laplacian(m, u)) == bits(roll_laplacian(m, u))
             assert bits(G.laplace_beltrami(m, u[-1])) == bits(roll_laplace_beltrami(m, u[-1]))
             assert bits(G.gradient_energy(m, u)) == bits(roll_gradient_energy(m, u))
+
+
+@pytest.mark.parametrize("radii, n_r", [((1.0, 2.0), 17), ((1.0, 2.7), 9), ((0.5, 3.0), 65)])
+def test_one_column_theta_terms_are_exactly_zero(radii, n_r):
+    """On one column every theta difference is x - x: the theta second
+    difference, laplace_beltrami, gradient_energy's angular part and its
+    circle form are exactly +0.0, a field's and each cell's of a stack."""
+    m = build_annulus(*radii, n_r, 1)
+    rng = np.random.default_rng(n_r)
+    for u in (rng.standard_normal((n_r, 1)) * 10.0, rng.standard_normal((4, n_r, 1))):
+        zeros = np.zeros(u.shape[:-2] + (n_r - 2, 1))
+        assert bits(G._theta_second_difference(u[..., 1:-1, :], m._angular_den)) == bits(zeros)
+        assert bits(G.laplace_beltrami(m, u[..., -1, :])) == bits(np.zeros(u.shape[:-2] + (1,)))
+        interior, circle = G.gradient_energy(m, u)
+        # the interior form is its radial part alone, plus an angular +0.0
+        du_r = (u[..., 1:, :] - u[..., :-1, :]) / m.dr
+        radial = np.sum(m.r_half[:, None] * du_r**2, axis=(-2, -1)) * m.dr * m.dtheta
+        assert bits(interior) == bits(radial)
+        assert bits(circle) == bits(np.zeros(u.shape[:-2]))
 
 
 def test_gradient_energy_ramp(mesh):

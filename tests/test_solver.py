@@ -661,7 +661,9 @@ def test_config_default_dt_follows_mesh():
     "mesh_args",
     [dict(r_inner=1, r_outer=3, n_r=17, n_theta=16),
      dict(r_inner=1.0, r_outer=3.0, n_r=17.0, n_theta=16.0),
-     dict(r_inner=0.5, r_outer=2, n_r=9, n_theta=64.0)],
+     dict(r_inner=0.5, r_outer=2, n_r=9, n_theta=64.0),
+     dict(r_inner=1, r_outer=2, n_r=17, n_theta=1),
+     dict(r_inner=0.01, r_outer=1, n_r=3, n_theta=1.0)],
 )
 def test_config_dt_uses_the_spacing_of_the_mesh_it_runs_on(mesh_args, cfl):
     cfg = SimConfig(params=SOURCE_PARAMS, cfl=cfl, **mesh_args)
@@ -672,6 +674,16 @@ def test_config_dt_uses_the_spacing_of_the_mesh_it_runs_on(mesh_args, cfl):
     assert SimConfig(params=SOURCE_PARAMS, dt=0.5 * wave_limit, **mesh_args).dt == 0.5 * wave_limit
     with pytest.raises(ValueError, match="violates the CFL bound"):
         SimConfig(params=SOURCE_PARAMS, dt=math.nextafter(0.5 * wave_limit, 1.0), **mesh_args)
+
+
+def test_config_dt_on_one_column():
+    """On one column dtheta is 2 pi, so the default dt is 0.4*min(dr, 2 pi
+    r_inner): the angular limit where r_inner is small, and on scan's mesh
+    (radii 1..2, 17 radial nodes) dr, the 17x16 dt."""
+    small = SimConfig(params=SOURCE_PARAMS, r_inner=0.01, r_outer=1.0, n_r=3, n_theta=1)
+    assert small.dt == 0.4 * (0.01 * (2.0 * math.pi))
+    scan = SimConfig(params=SOURCE_PARAMS, n_r=17, n_theta=1)
+    assert scan.dt == 0.4 / 16 == SimConfig(params=SOURCE_PARAMS, n_r=17, n_theta=16).dt
 
 
 @pytest.mark.parametrize(
@@ -701,7 +713,8 @@ def test_config_dt_uses_the_spacing_of_the_mesh_it_runs_on(mesh_args, cfl):
         (dict(params=SOURCE_PARAMS, n_theta=math.nan), "n_theta must be an integer"),
         (dict(params=SOURCE_PARAMS, n_r=1), "n_r must be at least 3"),
         (dict(params=SOURCE_PARAMS, n_r=2), "n_r must be at least 3"),
-        (dict(params=SOURCE_PARAMS, n_theta=0), "n_theta must be at least 8"),
+        (dict(params=SOURCE_PARAMS, n_theta=0),
+         r"n_theta must be 1 \(radial\) or at least 8, got 0"),
         (dict(params=SOURCE_PARAMS, r_inner=2.0, r_outer=1.0), "radii must satisfy"),
         (dict(params=SOURCE_PARAMS, report_every=2.5), "report_every must be an integer"),
         (dict(params=SOURCE_PARAMS, report_every=True), "report_every must be an integer"),
