@@ -19,12 +19,17 @@
 # source, and a dr of 1/23 that is not a power of two), a steep p = 40
 # run whose candidate overflows the exact norms, and the same at p = 100,
 # whose candidate overflows in the step, at dt_min 1e-7 and at 1e-3 (a
-# PhaseNorm blow-up with nulls in its final report); seven ClassifyAndSimulate
-# scans, two of them on an alpha or beta axis over linear-damping cells and
-# one from a --params-file whose m a --m flag overrides, so m_tilde
-# re-derives on its m axis; one refused ClassifyAndSimulate scan, whose
-# first simulated cell (p = 2.001) has no negative-energy data, with its
-# error and exit code 2 recorded in stdout.txt; three `classify` lines, one
+# PhaseNorm blow-up with nulls in its final report).  A refused `simulate`
+# appends its error and `exit N RUN` to stdout.txt and the script goes on, so
+# an older program that refuses a newer run (c06_column before n_theta 1 was
+# accepted) shows up as that run's lines in the diff.  Then seven
+# ClassifyAndSimulate scans, two of them on an alpha or beta axis over
+# linear-damping cells and one from a --params-file whose m a --m flag
+# overrides, so m_tilde re-derives on its m axis; two refused
+# ClassifyAndSimulate scans, with their errors and exit code 2 recorded in
+# stdout.txt: one whose first simulated cell (p = 2.001) has no
+# negative-energy data, and one whose cell p = 3, m = 1.5 has no parameter
+# record (m_tilde 1.8 > m); three `classify` lines, one
 # from a --params-file with a flag over one of its keys; seven `oracle` queries:
 # two plain ones, l near 1 (1.05), a huge psi0 (1e300), three
 # trajectories (one with --threshold 1e3, one with c > 0 and psi0 near the
@@ -120,7 +125,7 @@ sed 's/"p": 40.0/"p": 100.0/' steep.json >steep100.json
 sed 's/"dt_min": 1e-7/"dt_min": 1e-3/' steep100.json >steep100_coarse.json
 for run in c06 c06_column newton boundary_newton linear fine dt cfl radii undamped \
            boundary_source steep steep100 steep100_coarse; do
-    kwlab simulate "$run.json" "$run"
+    kwlab simulate "$run.json" "$run" 2>>stdout.txt || echo "exit $? $run" >>stdout.txt
 done
 
 scan() { out=$1; shift; kwlab scan --mode ClassifyAndSimulate --out "$out" "$@"; }
@@ -138,6 +143,8 @@ JSON
 scan scan_file.csv --params-file scan_params.json --m 3 --axis1 p:3:5:3 --axis2 m:1.5:3:4
 scan scan_refused.csv --gamma 1 --alpha 1 --m 2 --axis1 p:2.001:4:3 --axis2 a:0:0.5:2 \
     2>>stdout.txt || echo "exit $?" >>stdout.txt
+scan scan_record_refused.csv --gamma 1 --alpha 1 --m-tilde 1.8 --axis1 p:3:4:2 \
+    --axis2 m:1.5:3:3 2>>stdout.txt || echo "exit $?" >>stdout.txt
 
 kwlab classify --gamma 1 --p 4 --alpha 1 --m 2
 kwlab classify --gamma 1 --p 3 --alpha 1 --m 4

@@ -4,10 +4,11 @@
 #   scripts/diff_outputs.sh HEAD~
 #
 # Both sides run this checkout's scripts/cli_outputs.sh, so they write the
-# same set of files; REV's files are extracted with `git archive` into a
-# temporary directory, removed on exit, so the repository's .git is only
-# read.  Prints `diff -r` of the two output trees; exits nonzero on any
-# difference.
+# same set of files, but for a run REV refuses: cli_outputs.sh records its
+# error and exit code in stdout.txt and writes no output for it.  REV's
+# files are extracted with `git archive` into a temporary directory,
+# removed on exit, so the repository's .git is only read.  Prints `diff -r`
+# of the two output trees; exits nonzero on any difference.
 set -eu
 
 if [ $# -ne 1 ]; then

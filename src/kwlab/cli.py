@@ -176,12 +176,14 @@ def run_scan(spec: ScanSpec, out_path: str | Path) -> Path:
     vals1 = _axis_values(spec.axis1)
     vals2 = _axis_values(spec.axis2)
     cells = [(v1, v2) for v1 in vals1 for v2 in vals2]
-    results = [_scan_cell(spec, v1, v2) for v1, v2 in cells]
-    simulated = [(cell, cfg) for cell, (_, cfg) in zip(cells, results) if cfg is not None]
+    results = []
     try:
+        for cell in cells:
+            results.append(_scan_cell(spec, *cell))
+        simulated = [(c, cfg) for c, (_, cfg) in zip(cells, results) if cfg is not None]
         runs = iter(solver.simulate_batch([cfg for _, cfg in simulated]))
-    except ValueError as exc:  # a cell's initial state is refused: name the cell
-        v1, v2 = simulated[exc.cell][0]
+    except ValueError as exc:  # a cell's record or initial state is refused: name the cell
+        v1, v2 = simulated[exc.cell][0] if hasattr(exc, "cell") else cell
         raise ValueError(f"cell {spec.axis1[0]}={fmt_csv_float(v1)}, "
                          f"{spec.axis2[0]}={fmt_csv_float(v2)}: {exc}") from exc
 

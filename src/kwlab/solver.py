@@ -62,10 +62,10 @@ which decides each term's branches once: a term that is off is skipped, a
 summand with exponent 2 is h(v) = v, the cells whose exponent NumPy takes by
 a shortcut are listed once, and linear dampings carry the closed-form kick's
 slopes; no kernel tests a weight or an exponent per call.  The stack loop
-(_run_stack) only gathers the cells' values and applies their verdicts as
-masks, and a finished cell's rows are compacted out.  No operation mixes
-cells, and a shortcut exponent is applied cell by cell, so each cell's
-result is bitwise the one it gets alone; simulate is the batch of one.
+(_run_stack) continues from each candidate, with a rejected cell's rows put
+back, and compacts a finished cell's rows out.  No operation mixes cells,
+and a shortcut exponent is applied cell by cell, so each cell's result is
+bitwise the one it gets alone; simulate is the batch of one.
 """
 from __future__ import annotations
 
@@ -628,21 +628,19 @@ class _Cell:
         )
 
 
-def _run_stack(
-    mesh: AnnulusMesh, cfgs: list[SimConfig], states: list[State]
-) -> list[tuple[list[EnergyReport], BlowupReport]]:
-    """Step cells that share a mesh and their kernel branches in lockstep.
+def _run_stack(mesh: AnnulusMesh, cells: tuple[_Cell, ...], states: tuple[State, ...]) -> None:
+    """Step simulate_batch's `cells`, which share a mesh and their kernel
+    branches, from `states` in lockstep until each holds its result.
 
-    Each cell's _Cell decides its dt and how its step ends; this loop only
-    gathers the cells' values and applies the verdicts as masks.  The stack
+    Each cell's _Cell decides its dt and how its step ends.  The loop
+    continues from each candidate; np.copyto puts a monitor-rejected cell's
+    rows of u, v and S(u) back into the candidate's fresh arrays.  The stack
     forms in one place, for its live members: a finished cell's rows leave
     the arrays and the plan and thresholds are rebuilt.  A stack of one runs
     on 2-D arrays with a scalar dt and threshold and the record's cached
     plan: numpy then combines them with the mesh's arrays without
     broadcasting, which a one-row stack would pay for on every operation.
     """
-    cells = [_Cell(mesh, cfg, [make_report(mesh, st, cfg.params)], t=st.t, dt=cfg.dt)
-             for cfg, st in zip(cfgs, states)]
     live = cells
     u = np.stack([st.u for st in states])
     v = np.stack([st.v for st in states])
@@ -682,20 +680,15 @@ def _run_stack(
                         c.accept(new)
                     else:  # a detection ends at the candidate whose norms crossed
                         c.reject(new, name, new.t)
-                if hit is None:
-                    u, v, s_u = cand.u, cand.v, s_cand
-                else:
-                    accept = np.equal(hit, None)
-                    if accept.any():
-                        grid = accept[:, None, None]
-                        u = np.where(grid, cand.u, u)
-                        v = np.where(grid, cand.v, v)
-                        s_u = np.where(grid, s_cand, s_u)
+                if hit is not None:  # the rejected cells' rows go back to the step's start
+                    back = np.not_equal(hit, None)[..., None, None]
+                    for fresh, old in ((cand.u, u), (cand.v, v), (s_cand, s_u)):
+                        np.copyto(fresh, old, where=back)
+                u, v, s_u = cand.u, cand.v, s_cand
             keep = [c.result is None for c in live]
             live = [c for c in live if c.result is None]
             if live:
                 u, v, s_u = u[keep], v[keep], s_u[keep]
-    return [c.result for c in cells]
 
 
 def simulate_batch(
@@ -706,21 +699,22 @@ def simulate_batch(
     Cells that share a mesh and their kernel branches step together as one
     stack (see _run_stack); each cell's result is bitwise the one simulate
     gives it alone.  `initials` overrides the configured initial data cell by
-    cell (None keeps it).  Every initial state, configured or supplied,
-    passes the same checks before any cell steps.  The first bad cell in
-    config order raises the ValueError simulate would raise for it alone,
-    with the cell's index in cfgs as its `cell` attribute: a cell whose
-    configured data cannot be built, or whose state does not have the mesh's
-    shape, is nonzero on the pinned circle, has a t that is not finite or not
-    below t_end (by _before_end, the end test of an accepted step, so every
-    run takes a step) or so large in magnitude that t + dt_min rounds to t
-    (the run could never advance), or already crosses the blow-up monitors.
+    cell (None keeps it).  Every initial state, configured or supplied, passes
+    the same checks before any cell steps, and each cell's _Cell is made with
+    its first report as its state passes.  The first bad cell in config order
+    raises the ValueError simulate would raise for it alone, with the cell's
+    index in cfgs as its `cell` attribute: a cell whose configured data cannot
+    be built, or whose state does not have the mesh's shape, is nonzero on the
+    pinned circle, has a t that is not finite or not below t_end (by
+    _before_end, the end test of an accepted step, so every run takes a step)
+    or so large in magnitude that t + dt_min rounds to t (the run could never
+    advance), or already crosses the blow-up monitors.
     """
     cfgs = list(cfgs)
     initials = [None] * len(cfgs) if initials is None else list(initials)
     if len(initials) != len(cfgs):
         raise ValueError(f"{len(initials)} initial states for {len(cfgs)} configs")
-    meshes, states, stacks = {}, [], {}
+    meshes, cells, stacks = {}, [], {}
     for i, (cfg, initial) in enumerate(zip(cfgs, initials)):
         shape = (cfg.r_inner, cfg.r_outer, cfg.n_r, cfg.n_theta)
         if shape not in meshes:
@@ -744,17 +738,13 @@ def simulate_batch(
         except ValueError as exc:
             exc.cell = i
             raise
-        states.append(initial)
+        cells.append(_Cell(mesh, cfg, [make_report(mesh, initial, cfg.params)],
+                           t=initial.t, dt=cfg.dt))
         # the plan's key decides the kernels' branches; lin follows from it
-        stacks.setdefault((shape, cfg.params._plan.key), []).append(i)
-    results = [None] * len(cfgs)
+        stacks.setdefault((shape, cfg.params._plan.key), []).append((cells[-1], initial))
     for (shape, _), members in stacks.items():
-        outcomes = _run_stack(
-            meshes[shape], [cfgs[i] for i in members], [states[i] for i in members]
-        )
-        for i, outcome in zip(members, outcomes):
-            results[i] = outcome
-    return results
+        _run_stack(meshes[shape], *zip(*members))  # its cells and their initial states
+    return [c.result for c in cells]
 
 
 def simulate(

@@ -569,6 +569,23 @@ def test_scan_names_the_cell_whose_initial_state_is_refused(tmp_path, capsys, ax
     assert capsys.readouterr().err == f"error: cell {cell}: {alone.value}\n"
 
 
+@pytest.mark.parametrize("axis2, cell, message", [
+    ("m:1.5:3:3", "p=3, m=1.5", "constraint violated: 1 < m_tilde <= m < inf "
+                                "(m_tilde=1.8, m=1.5)"),
+    ("N:2:3:3", "p=3, N=2.5", "N must be an integer >= 2, got 2.5"),
+])
+def test_scan_names_the_cell_whose_record_is_refused(tmp_path, capsys, axis2, cell, message):
+    """A cell whose parameter record cannot be built stops the scan (exit 2,
+    no CSV) with the record's message after the cell's axis values, like a
+    cell whose initial state is refused."""
+    out = tmp_path / "x.csv"
+    argv = ["scan", "--gamma", "1", "--alpha", "1", "--m-tilde", "1.8",
+            "--axis1", "p:3:4:2", "--axis2", axis2, "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: cell {cell}: {message}\n"
+
+
 def test_scan_axis_validation(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     bad_axes = [
